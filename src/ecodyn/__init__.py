@@ -59,7 +59,6 @@ from .value_feedback import (
     FeedbackGains,
     LimitProbeResult,
     MarketValueSolution,
-    ValuePoint,
     analytic_market_value,
     closed_form_slope,
     exponent_from_gains,
@@ -108,7 +107,6 @@ __all__ = [
     "FeedbackGains",
     "BalancedFeedback",
     "MarketValueSolution",
-    "ValuePoint",
     "LimitProbeResult",
     "exponent_from_gains",
     "ode_rhs",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, InvariantViolation
+from .errors import InvariantViolation
 
 MODES = ("direct", "incremental")
 
@@ -335,24 +335,43 @@ def annual_change(params: BudgetParams) -> float:
     return flow_balance(params) + investments(params)
 
 
+# The recurrence arithmetic, written once. The helpers take floats or
+# numpy arrays, so the sweep engine evaluates whole grids with exactly
+# these term groupings and its cells equal the scalar calls bit for bit.
+
+
+def _coefficients(
+    tax_rate, spending_split, private_fraction, invest_share, foreign_multiplier, gov_spending
+) -> RecurrenceCoefficients:
+    balance_gain = tax_rate - (1.0 - spending_split) * (1.0 - tax_rate) * (1.0 - private_fraction)
+    invest_gain = invest_share * (1.0 - tax_rate) * (1.0 + foreign_multiplier)
+    return RecurrenceCoefficients(balance_gain, invest_gain, -gov_spending * spending_split)
+
+
+def _is_stable(pole):
+    return abs(pole) <= 1.0
+
+
+def _geometric_level(power, pole, initial_wages, constant_flow):
+    """pole**n * (W_0 - b) + b with b the fixed point, given power = pole**n."""
+    base = constant_flow / (1.0 - pole)
+    return power * (initial_wages - base) + base
+
+
 def coefficients(params: BudgetParams) -> RecurrenceCoefficients:
     """Collect the wage-linear gains and the constant flow term.
 
     By construction annual_change(params) equals
     (balance_gain + invest_gain) * initial_wages + constant_flow.
     """
-    balance_gain = params.tax_rate - (
-        (1.0 - params.spending_split)
-        * (1.0 - params.tax_rate)
-        * (1.0 - params.private_fraction)
+    return _coefficients(
+        params.tax_rate,
+        params.spending_split,
+        params.private_fraction,
+        params.invest_share,
+        params.foreign_multiplier,
+        params.gov_spending,
     )
-    invest_gain = (
-        params.invest_share
-        * (1.0 - params.tax_rate)
-        * (1.0 + params.foreign_multiplier)
-    )
-    constant_flow = -params.gov_spending * params.spending_split
-    return RecurrenceCoefficients(balance_gain, invest_gain, constant_flow)
 
 
 def iterate(params: BudgetParams, n: int, mode: str = "direct") -> list[float]:
@@ -402,8 +421,7 @@ def closed_form(params: BudgetParams, n: int, mode: str = "direct") -> float:
     pole = coeffs.pole_in_mode(mode)
     if pole == 1.0:
         return params.initial_wages + n * coeffs.constant_flow
-    base = coeffs.constant_flow / (1.0 - pole)
-    return pole**n * (params.initial_wages - base) + base
+    return _geometric_level(pole**n, pole, params.initial_wages, coeffs.constant_flow)
 
 
 def impulse_response(params: BudgetParams, n: int, mode: str = "direct") -> float:
@@ -478,7 +496,7 @@ def stability_report(params: BudgetParams, mode: str = "direct") -> StabilityRep
         mode=mode,
         coefficients=coeffs,
         pole=pole,
-        stable=abs(pole) <= 1.0,
+        stable=_is_stable(pole),
         fixed_point=fixed_point(params, mode),
         leverage=tax_leverage(params),
         stable_tax_range=taxation_range(params, mode),

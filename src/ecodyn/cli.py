@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
-from typing import Any, IO
+from json.encoder import encode_basestring_ascii
+from typing import IO, Any, Callable, Iterator
 
 from . import __version__, audit
 from . import budget_dynamics as bd
@@ -87,48 +89,149 @@ def _grid_values(section: dict[str, Any], key: str = "grid") -> list[float]:
     return axis.grid()
 
 
-def _csv_cell(v: Any) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _csv_quoted(text: str) -> str:
+    """text as csv.writer's minimal quoting writes it inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[: -len(",\n")]
 
 
-def _write_csv(columns: list[str], rows: list[dict[str, Any]], stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(c)) for c in columns])
+def _csv_other(v: Any) -> str:
+    return _csv_quoted(repr(v) if isinstance(v, float) else str(v))
+
+
+# Cell encoders by exact type, so a column of one type encodes in one
+# map() call; _csv_other and json.dumps cover every other type.
+_CSV_CELL: dict[type, Callable[[Any], str]] = {
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: ("0", "1").__getitem__,
+    type(None): {None: ""}.__getitem__,
+}
+_JSON_VALUE: dict[type, Callable[[Any], str]] = {
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    str: encode_basestring_ascii,
+    type(None): {None: "null"}.__getitem__,
+}
+# json spells the non-finite floats its own way
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _encode(
+    values: list[Any], encoders: dict[type, Callable[[Any], str]], other: Callable[[Any], str]
+) -> list[str]:
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        return list(map(encoders.get(kinds.pop(), other), values))
+    return [encoders.get(type(v), other)(v) for v in values]
+
+
+# Rows are encoded and written a block at a time, so a large table never
+# holds all of its encoded text in memory at once.
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(
+    columns: dict[str, list[Any]], holes: list[bool] | None = None
+) -> Iterator[tuple[list[list[Any]], list[bool] | None]]:
+    rows = len(next(iter(columns.values()), ()))
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        block = [values[start:stop] for values in columns.values()]
+        yield block, None if holes is None else holes[start:stop]
+
+
+def _write_csv(columns: dict[str, list[Any]], stream: IO[str]) -> None:
+    """Write a header and one line per row, as csv.writer would.
+
+    Every table here has at least two columns, so csv's special case of
+    a row made of one empty field never arises.
+    """
+    stream.write(",".join(map(_csv_quoted, columns)) + "\n")
+    for block, _ in _row_blocks(columns):
+        encoded = [_encode(values, _CSV_CELL, _csv_other) for values in block]
+        stream.write("\n".join(map(",".join, zip(*encoded))) + "\n")
+
+
+def _json_column(values: list[Any]) -> list[str]:
+    cells = _encode(values, _JSON_VALUE, json.dumps)
+    if _JSON_NONFINITE.keys().isdisjoint(cells):
+        return cells
+    return [_JSON_NONFINITE.get(c, c) for c in cells]
+
+
+def _json_row(names: list[str], leave_out: tuple[str, ...]) -> str:
+    """str.format template of one row object, with slot i for column i."""
+    fields = [
+        "      %s: {%d}" % (encode_basestring_ascii(name).replace("{", "{{").replace("}", "}}"), i)
+        for i, name in enumerate(names)
+        if name not in leave_out
+    ]
+    return "    {{\n" + ",\n".join(fields) + "\n    }}"
 
 
 def _write_json(
-    rows: list[dict[str, Any]], metadata: dict[str, Any], stream: IO[str]
+    columns: dict[str, list[Any]],
+    metadata: dict[str, Any],
+    stream: IO[str],
+    holes: list[bool] | None = None,
+    sparse: tuple[str, ...] = (),
 ) -> None:
-    json.dump({"metadata": metadata, "rows": rows}, stream, indent=2)
-    stream.write("\n")
+    """Write {"metadata": ..., "rows": [...]} as json.dump(indent=2) would.
+
+    Rows marked in holes leave out the keys named in sparse. Each row is
+    filled into a template, since json.dump with an indent always runs
+    the pure-Python encoder.
+    """
+    head = json.dumps({"metadata": metadata, "rows": []}, indent=2)
+    if not next(iter(columns.values()), None):
+        stream.write(head + "\n")
+        return
+    names = list(columns)
+    full = _json_row(names, ()).format
+    holed = _json_row(names, sparse).format
+    stream.write(head[: head.rindex("[]")] + "[\n")
+    separator = ""
+    for block, block_holes in _row_blocks(columns, holes):
+        encoded = [_json_column(values) for values in block]
+        if block_holes is None:
+            rows = map(full, *encoded)
+        else:
+            rows = (
+                holed(*row) if hole else full(*row)
+                for hole, row in zip(block_holes, zip(*encoded))
+            )
+        stream.write(separator + ",\n".join(rows))
+        separator = ",\n"
+    stream.write("\n  ]\n}\n")
 
 
 def _emit(
-    columns: list[str],
-    rows: list[dict[str, Any]],
+    columns: dict[str, list[Any]],
     metadata: dict[str, Any],
     fmt: str,
     out: str | None,
+    holes: list[bool] | None = None,
+    sparse: tuple[str, ...] = (),
 ) -> None:
+    """Write the rows as CSV or JSON to out, or to stdout.
+
+    CSV leaves None cells empty; JSON rows marked in holes leave out the
+    keys named in sparse.
+    """
     if out is None:
         if fmt == "csv":
-            _write_csv(columns, rows, sys.stdout)
+            _write_csv(columns, sys.stdout)
         else:
-            _write_json(rows, metadata, sys.stdout)
+            _write_json(columns, metadata, sys.stdout, holes, sparse)
         return
     with open(out, "w", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
-            _write_csv(columns, rows, fh)
+            _write_csv(columns, fh)
         else:
-            _write_json(rows, metadata, fh)
+            _write_json(columns, metadata, fh, holes, sparse)
 
 
 def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str, str | None]:
@@ -180,20 +283,16 @@ def _run_wage(args: argparse.Namespace) -> int:
         )
 
     if "grid" in sec:
-        rows = []
-        for point in wp.profit_curve(cs, wages):
-            d1, d2 = wp.profit_derivatives(cs, point.wage)
-            rows.append(
-                {
-                    "wage": point.wage,
-                    "net_profit": point.net_profit,
-                    "first_derivative": d1,
-                    "second_derivative": d2,
-                }
-            )
-        columns = ["wage", "net_profit", "first_derivative", "second_derivative"]
-        metadata = {"command": "wage", "rows": len(rows)}
-        _emit(columns, rows, metadata, fmt, out)
+        points = wp.profit_curve(cs, wages)
+        derivatives = [wp.profit_derivatives(cs, point.wage) for point in points]
+        columns = {
+            "wage": [point.wage for point in points],
+            "net_profit": [point.net_profit for point in points],
+            "first_derivative": [d1 for d1, _ in derivatives],
+            "second_derivative": [d2 for _, d2 in derivatives],
+        }
+        metadata = {"command": "wage", "rows": len(points)}
+        _emit(columns, metadata, fmt, out)
     return 0
 
 
@@ -232,14 +331,17 @@ def _run_value(args: argparse.Namespace) -> int:
             "probe regime: "
             + ("divergent (true value below 1)" if result.divergent else "convergent")
         )
-        rows = [{"exponent": b, "gap": g} for b, g in result.points]
+        columns = {
+            "exponent": [b for b, _ in result.points],
+            "gap": [g for _, g in result.points],
+        }
         metadata = {
             "command": "value",
             "kind": "probe",
             "divergent": result.divergent,
-            "rows": len(rows),
+            "rows": len(result.points),
         }
-        _emit(["exponent", "gap"], rows, metadata, fmt, out)
+        _emit(columns, metadata, fmt, out)
         return 0
 
     exponent = _value_exponent(sec)
@@ -248,14 +350,13 @@ def _run_value(args: argparse.Namespace) -> int:
     if steps < 1:
         raise InvariantViolation(f"'rk4_steps' must be >= 1, got {steps}")
 
-    rows = []
     if isinstance(exponent, vf.BalancedFeedback):
         _say(
             "balanced feedback: the adjustment costs cancel, market value "
             "equals true value"
         )
-        for x in xs:
-            rows.append({"true_value": x, "market_value": x, "rk4_error": 0.0})
+        market = list(xs)
+        errors = [0.0] * len(xs)
         meta_exponent: Any = None
     else:
         if exponent == 1:
@@ -276,6 +377,8 @@ def _run_value(args: argparse.Namespace) -> int:
 
         anchor = xs[0]
         y0 = value_at(anchor)
+        market = []
+        errors = []
         for x in xs:
             y = value_at(x)
             if x == anchor:
@@ -285,7 +388,8 @@ def _run_value(args: argparse.Namespace) -> int:
                     anchor, x, steps, lambda t, u: vf.ode_rhs(exponent, t, u)
                 )
                 err = abs(rk4_integrate(spec, y0) - y) / max(1.0, abs(y))
-            rows.append({"true_value": x, "market_value": y, "rk4_error": err})
+            market.append(y)
+            errors.append(err)
         meta_exponent = exponent
 
     metadata = {
@@ -293,9 +397,10 @@ def _run_value(args: argparse.Namespace) -> int:
         "kind": "curve",
         "exponent": meta_exponent,
         "rk4_steps": steps,
-        "rows": len(rows),
+        "rows": len(xs),
     }
-    _emit(["true_value", "market_value", "rk4_error"], rows, metadata, fmt, out)
+    columns = {"true_value": xs, "market_value": market, "rk4_error": errors}
+    _emit(columns, metadata, fmt, out)
     return 0
 
 
@@ -382,18 +487,10 @@ def _run_budget(args: argparse.Namespace) -> int:
     _say(f"shrinking: {report.shrinking}")
 
     levels = bd.iterate(params, horizon, mode)
-    rows = []
-    for step, level in enumerate(levels):
-        closed = bd.closed_form(params, step, mode)
-        rows.append(
-            {
-                "step": step,
-                "iterated": level,
-                "closed_form": closed,
-                "abs_diff": abs(level - closed),
-            }
-        )
-    max_dev = max((row["abs_diff"] for row in rows), default=0.0)
+    steps = list(range(len(levels)))
+    closed = [bd.closed_form(params, step, mode) for step in steps]
+    diffs = [abs(level - c) for level, c in zip(levels, closed)]
+    max_dev = max(diffs, default=0.0)
     _say(f"max |iterated - closed form|: {max_dev!r}")
     metadata = {
         "command": "budget",
@@ -401,9 +498,10 @@ def _run_budget(args: argparse.Namespace) -> int:
         "horizon": horizon,
         "pole": report.pole,
         "stable": report.stable,
-        "rows": len(rows),
+        "rows": len(levels),
     }
-    _emit(["step", "iterated", "closed_form", "abs_diff"], rows, metadata, fmt, out)
+    columns = {"step": steps, "iterated": levels, "closed_form": closed, "abs_diff": diffs}
+    _emit(columns, metadata, fmt, out)
     return 0
 
 
@@ -431,44 +529,30 @@ def _run_sweep(args: argparse.Namespace) -> int:
             Axis(str(spec["name"]), _num(spec, "min"), _num(spec, "max"), _int(spec, "points"))
         )
     grid = ParamGrid(tuple(axes))
-    workers = _int(sec, "workers", 1)
     kind = sec.get("kind", "sweep")
 
     if kind == "stability_region":
         if model != "budget":
             raise InvariantViolation("a stability region requires the budget model")
-        result = stability_region(
-            base, grid, mode=sec.get("mode", "direct"), workers=workers
-        )
-        outputs = ("pole", "stable")
+        result = stability_region(base, grid, mode=sec.get("mode", "direct"))
     elif kind == "sweep":
-        result = sweep(BINDINGS[model], base, grid, workers=workers)
-        outputs = BINDINGS[model].outputs
+        result = sweep(BINDINGS[model], base, grid)
     else:
         raise InvariantViolation(f"'kind' must be sweep or stability_region, got {kind!r}")
 
     flagged = result.metadata["flagged"]
-    if result.records and flagged == len(result.records):
+    if flagged == grid.cells:
         raise DomainError(
-            f"all {flagged} cells were rejected; first cell: "
-            f"{result.records[0].note}"
+            f"all {flagged} cells were rejected; first cell: {result.notes[0]}"
         )
-    axis_names = [a.name for a in grid.axes]
-    columns = axis_names + list(outputs) + ["flagged"]
-    rows = []
-    json_rows = []
-    for rec in result.records:
-        row = {**{n: rec.coords[n] for n in axis_names}, **rec.outputs, "flagged": rec.flagged}
-        rows.append(row)
-        json_rows.append({**row, "note": rec.note})
     _say(
-        f"swept {result.metadata['cells']} cells over {axis_names}; "
+        f"swept {result.metadata['cells']} cells over {list(result.coords)}; "
         f"{flagged} flagged"
     )
-    if fmt == "csv":
-        _emit(columns, rows, result.metadata, fmt, out)
-    else:
-        _emit(columns, json_rows, result.metadata, fmt, out)
+    columns = {**result.coords, **result.outputs, "flagged": result.flagged}
+    if fmt == "json":
+        columns["note"] = result.notes
+    _emit(columns, result.metadata, fmt, out, result.flagged, tuple(result.outputs))
     return 0
 
 
@@ -606,9 +690,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Sweep a model over one or two axes. Config section 'sweep' "
             "needs model (wage|value|budget), base parameters, and axes "
-            "[{name,min,max,points}, ...]; optional workers (default 1), "
-            "kind (sweep|stability_region), mode for budget sweeps. Cells "
-            "the model rejects are flagged, not fatal."
+            "[{name,min,max,points}, ...]; optional kind "
+            "(sweep|stability_region), mode for budget sweeps. Cells the "
+            "model rejects are flagged, not fatal."
         ),
     )
     add_io(p_sweep)

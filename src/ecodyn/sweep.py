@@ -2,18 +2,23 @@
 
 A sweep takes a base parameter set, replaces one or two named parameters
 with grid values, evaluates the model at every grid cell in row-major
-order (last axis fastest), and collects the outputs into flat records.
-Cells where the model rejects the parameter combination are kept in
-place but flagged, so grids stay rectangular.
+order (last axis fastest), and collects the outputs into columns.
+Cells where the model rejects the parameter combination, or where an
+output overflows or is not finite, are kept in place but flagged, so
+grids stay rectangular.
+
+Each model binding evaluates whole numpy columns through the same
+arithmetic helpers as the scalar model functions, so every clean cell
+equals the scalar call bit for bit. Only the cells the columns cannot
+vouch for are evaluated again one at a time by the scalar model code,
+which either clears them or raises the exact rejection note.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -21,7 +26,7 @@ import numpy as np
 from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
-from .errors import EcodynError, InvariantViolation
+from .errors import EcodynError, InvariantViolation, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -47,7 +52,7 @@ class Axis:
             )
 
     def grid(self) -> list[float]:
-        return [float(v) for v in np.linspace(self.lower, self.upper, self.points)]
+        return np.linspace(self.lower, self.upper, self.points).tolist()
 
 
 @dataclass(frozen=True)
@@ -71,12 +76,20 @@ class ParamGrid:
             n *= a.points
         return n
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """One coordinate column per axis, one entry per cell, row-major."""
+        columns = {}
+        inner, outer = self.cells, 1
+        for a in self.axes:
+            inner //= a.points
+            columns[a.name] = np.tile(np.repeat(a.grid(), inner), outer)
+            outer *= a.points
+        return columns
+
     def coords(self) -> list[dict[str, float]]:
         names = [a.name for a in self.axes]
-        return [
-            dict(zip(names, values))
-            for values in itertools.product(*(a.grid() for a in self.axes))
-        ]
+        rows = zip(*(c.tolist() for c in self.columns().values()))
+        return [dict(zip(names, values)) for values in rows]
 
 
 @dataclass(frozen=True)
@@ -94,8 +107,35 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    records: list[SweepRecord]
+    """Sweep results as columns, one entry per cell in row-major order.
+
+    ``outputs[name][k]`` is None where ``flagged[k]``; ``notes[k]`` says
+    why the cell was rejected and is empty for clean cells.
+    """
+
+    coords: dict[str, list[float]]
+    outputs: dict[str, list[Any]]
+    flagged: list[bool]
+    notes: list[str]
     metadata: dict[str, Any]
+
+    @cached_property
+    def records(self) -> list[SweepRecord]:
+        """The same results as one record per cell."""
+        records = []
+        for k, flagged in enumerate(self.flagged):
+            coords = {name: col[k] for name, col in self.coords.items()}
+            if flagged:
+                records.append(SweepRecord(coords, {}, True, self.notes[k]))
+            else:
+                outputs = {name: col[k] for name, col in self.outputs.items()}
+                records.append(SweepRecord(coords, outputs, False))
+        return records
+
+
+# Output columns of a binding, plus the mask of cells the columns cannot
+# vouch for; masked entries may hold anything.
+EvaluatedColumns = tuple[dict[str, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -104,61 +144,141 @@ class ModelBinding:
 
     allowed_axes lists the parameter names a sweep may vary; required
     lists the keys that must be present in the base parameters or as an
-    axis; outputs fixes the column set every record reports.
+    axis; outputs fixes the full column set a sweep can report.
+
+    evaluate_columns(params, cells, outputs) gets every axis as a numpy
+    column in params and returns at least the requested output columns,
+    plus a mask of cells to evaluate again one at a time. evaluate(params,
+    outputs) is that scalar evaluation of one cell: it returns at least
+    the requested outputs or raises the model's rejection.
     """
 
     model: str
     allowed_axes: tuple[str, ...]
     required: tuple[str, ...]
     outputs: tuple[str, ...]
-    evaluate: Callable[[dict[str, Any], dict[str, float]], dict[str, Any]]
+    evaluate: Callable[[dict[str, Any], tuple[str, ...]], dict[str, Any]]
+    evaluate_columns: Callable[[dict[str, Any], int, tuple[str, ...]], EvaluatedColumns]
 
 
-def _eval_wage(base: dict[str, Any], coords: dict[str, float]) -> dict[str, Any]:
-    merged = {**base, **coords}
-    cs = wp.CostStructure(
-        merged["max_market_price"],
-        merged["labor_weight"],
-        tuple(tuple(pair) for pair in merged.get("other_factors", ())),
+def _finite(name: str, compute: Callable[[], float]) -> float:
+    """Run compute, turning overflow or a non-finite result into a rejection."""
+    try:
+        value = compute()
+    except OverflowError:
+        raise NumericalFailure(f"{name} overflows the float range") from None
+    if not math.isfinite(value):
+        raise NumericalFailure(f"{name} is not finite: {value!r}")
+    return value
+
+
+def _float_columns(values: list[Any], cells: int) -> list[np.ndarray] | None:
+    """Parameter values as float columns, or None when one of them is not
+    a plain number and only the scalar path can judge it."""
+    columns = []
+    for value in values:
+        if isinstance(value, np.ndarray):
+            columns.append(value)
+        elif type(value) in (int, float):
+            try:
+                columns.append(np.full(cells, float(value)))
+            except OverflowError:
+                return None
+        else:
+            return None
+    return columns
+
+
+def _unevaluated(cells: int, outputs: tuple[str, ...]) -> EvaluatedColumns:
+    """Send every cell down the scalar path."""
+    return {name: np.zeros(cells) for name in outputs}, np.ones(cells, dtype=bool)
+
+
+def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> np.ndarray:
+    """base**exponent per element, with Python's float pow.
+
+    numpy's vectorised power can differ from Python's in the last ulp,
+    which would break bit equality with the scalar model functions.
+    Skipped cells compute 1.0**exponent instead; an overflowing cell
+    becomes inf, for the caller's finiteness mask to catch.
+    """
+    bases = np.where(skip, 1.0, base).tolist()
+    exponents = np.broadcast_to(exponent, base.shape).tolist()
+    try:
+        return np.array(list(map(pow, bases, exponents)))
+    except OverflowError:
+        return np.array([_pow_or_inf(b, e) for b, e in zip(bases, exponents)])
+
+
+def _pow_or_inf(base: float, exponent: float) -> float:
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def _in_unit(x: np.ndarray) -> np.ndarray:
+    return np.isfinite(x) & (x >= 0.0) & (x <= 1.0)
+
+
+def _nonneg(x: np.ndarray) -> np.ndarray:
+    return np.isfinite(x) & (x >= 0.0)
+
+
+def _cost_structure(params: dict[str, Any]) -> wp.CostStructure:
+    return wp.CostStructure(
+        params["max_market_price"],
+        params["labor_weight"],
+        tuple(tuple(pair) for pair in params.get("other_factors", ())),
     )
-    return {"net_profit": wp.net_profit(cs, merged["wage"])}
 
 
-def _eval_value(base: dict[str, Any], coords: dict[str, float]) -> dict[str, Any]:
-    merged = {**base, **coords}
-    exponent = merged["exponent"]
-    if "homog_coeff" in merged:
-        sol = vf.MarketValueSolution(exponent, merged["homog_coeff"])
+def _eval_wage(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
+    cs = _cost_structure(params)
+    return {"net_profit": _finite("net_profit", lambda: wp.net_profit(cs, params["wage"]))}
+
+
+def _wage_columns(
+    params: dict[str, Any], cells: int, outputs: tuple[str, ...]
+) -> EvaluatedColumns:
+    try:
+        cs = _cost_structure(params)
+        margin = wp.gross_margin(cs)
+    except EcodynError:
+        return _unevaluated(cells, outputs)
+    operands = _float_columns([margin, params["wage"], cs.labor_weight], cells)
+    if operands is None:
+        return _unevaluated(cells, outputs)
+    margin, wage, labor_weight = operands
+    net_profit = wp._profit_ratio(margin, wage, labor_weight)
+    redo = ~(wage > 0) | ~np.isfinite(net_profit)
+    return {"net_profit": net_profit}, redo
+
+
+def _eval_value(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
+    if "homog_coeff" in params:
+        sol = vf.MarketValueSolution(params["exponent"], params["homog_coeff"])
     else:
-        sol = vf.MarketValueSolution.with_default_coeff(exponent)
-    x = merged["true_value"]
-    market = vf.analytic_market_value(sol, x)
-    return {"market_value": market, "gap": market - x}
+        sol = vf.MarketValueSolution.with_default_coeff(params["exponent"])
+    x = params["true_value"]
+    market = _finite("market_value", lambda: vf.analytic_market_value(sol, x))
+    return {"market_value": market, "gap": _finite("gap", lambda: market - x)}
 
 
-def _budget_params(merged: dict[str, Any]) -> bd.BudgetParams:
-    return bd.BudgetParams(
-        tax_rate=merged["tax_rate"],
-        spending_split=merged["spending_split"],
-        private_fraction=merged["private_fraction"],
-        invest_share=merged["invest_share"],
-        foreign_multiplier=merged["foreign_multiplier"],
-        gov_spending=merged["gov_spending"],
-        initial_wages=merged["initial_wages"],
-    )
-
-
-def _eval_budget(base: dict[str, Any], coords: dict[str, float]) -> dict[str, Any]:
-    merged = {**base, **coords}
-    mode = merged.get("mode", "direct")
-    horizon = int(merged.get("horizon", 10))
-    params = _budget_params(merged)
-    report = bd.stability_report(params, mode)
-    return {
-        "pole": report.pole,
-        "stable": report.stable,
-        "final_pool": bd.closed_form(params, horizon, mode),
-    }
+def _value_columns(
+    params: dict[str, Any], cells: int, outputs: tuple[str, ...]
+) -> EvaluatedColumns:
+    names = ("exponent", "true_value", "homog_coeff")
+    operands = _float_columns([params[n] for n in names if n in params], cells)
+    if operands is None:
+        return _unevaluated(cells, outputs)
+    exponent, x = operands[:2]
+    coeff = operands[2] if len(operands) == 3 else vf._default_coeff(exponent)
+    redo = (exponent == 1.0) | ~(x > 0.0)
+    market = vf._power_law(coeff, exponent, _power(x, exponent, redo), x)
+    gap = market - x
+    redo |= ~np.isfinite(market) | ~np.isfinite(gap)
+    return {"market_value": market, "gap": gap}, redo
 
 
 BUDGET_AXES = (
@@ -168,6 +288,56 @@ BUDGET_AXES = (
     "invest_share",
     "foreign_multiplier",
 )
+BUDGET_PARAMS = tuple(field.name for field in fields(bd.BudgetParams))
+
+
+def _budget_params(params: dict[str, Any]) -> bd.BudgetParams:
+    return bd.BudgetParams(**{name: params[name] for name in BUDGET_PARAMS})
+
+
+def _horizon(params: dict[str, Any]) -> int:
+    return int(params.get("horizon", 10))
+
+
+def _eval_budget(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
+    mode = params.get("mode", "direct")
+    horizon = _horizon(params) if "final_pool" in outputs else None
+    budget = _budget_params(params)
+    report = bd.stability_report(budget, mode)
+    values = {"pole": _finite("pole", lambda: report.pole), "stable": report.stable}
+    if horizon is not None:
+        values["final_pool"] = _finite(
+            "final_pool", lambda: bd.closed_form(budget, horizon, mode)
+        )
+    return values
+
+
+def _budget_columns(
+    params: dict[str, Any], cells: int, outputs: tuple[str, ...]
+) -> EvaluatedColumns:
+    mode = params.get("mode", "direct")
+    operands = _float_columns([params[name] for name in BUDGET_PARAMS], cells)
+    if operands is None or mode not in bd.MODES:
+        return _unevaluated(cells, outputs)
+    t, s, p, i, f, g, w0 = operands
+    coeffs = bd._coefficients(t, s, p, i, f, g)
+    pole = coeffs.pole_in_mode(mode)
+    valid = _in_unit(t) & _in_unit(s) & _in_unit(p) & _nonneg(i) & _nonneg(f)
+    valid &= _nonneg(g) & np.isfinite(w0) & (w0 > 0.0) & np.isfinite(pole)
+    redo = ~valid
+    values = {"pole": pole, "stable": bd._is_stable(pole)}
+    if "final_pool" in outputs:
+        horizon = _horizon(params)
+        if horizon < 0:
+            return _unevaluated(cells, outputs)
+        power = _power(pole, horizon, redo)
+        final = bd._geometric_level(power, pole, w0, coeffs.constant_flow)
+        # this is never finite at a pole of exactly 1, so those cells take
+        # the scalar closed form's limit branch
+        redo |= ~np.isfinite(final)
+        values["final_pool"] = final
+    return values, redo
+
 
 BINDINGS: dict[str, ModelBinding] = {
     "wage": ModelBinding(
@@ -176,6 +346,7 @@ BINDINGS: dict[str, ModelBinding] = {
         required=("max_market_price", "labor_weight", "wage"),
         outputs=("net_profit",),
         evaluate=_eval_wage,
+        evaluate_columns=_wage_columns,
     ),
     "value": ModelBinding(
         model="value",
@@ -183,13 +354,15 @@ BINDINGS: dict[str, ModelBinding] = {
         required=("exponent", "true_value"),
         outputs=("market_value", "gap"),
         evaluate=_eval_value,
+        evaluate_columns=_value_columns,
     ),
     "budget": ModelBinding(
         model="budget",
         allowed_axes=BUDGET_AXES,
-        required=BUDGET_AXES + ("gov_spending", "initial_wages"),
+        required=BUDGET_PARAMS,
         outputs=("pole", "stable", "final_pool"),
         evaluate=_eval_budget,
+        evaluate_columns=_budget_columns,
     ),
 }
 
@@ -216,30 +389,40 @@ def sweep(
     binding: ModelBinding,
     base: dict[str, Any],
     grid: ParamGrid,
-    workers: int = 1,
+    outputs: tuple[str, ...] | None = None,
 ) -> SweepResult:
     """Evaluate the model over the whole grid.
 
-    Records arrive in row-major grid order regardless of the worker
-    count; per-cell rejections become flagged records, never exceptions.
+    outputs picks a subset of the binding's outputs, all by default.
+    Per-cell rejections become flagged cells, never exceptions.
     """
-    if workers < 1:
-        raise InvariantViolation(f"workers must be >= 1, got {workers}")
     check_binding(binding, base, grid)
-
-    def cell(coords: dict[str, float]) -> SweepRecord:
+    if outputs is None:
+        outputs = binding.outputs
+    unknown = [name for name in outputs if name not in binding.outputs]
+    if unknown:
+        raise InvariantViolation(
+            f"model {binding.model!r} has no outputs {unknown}; "
+            f"available: {binding.outputs}"
+        )
+    cells = grid.cells
+    coord_columns = grid.columns()
+    with np.errstate(all="ignore"):
+        columns, redo = binding.evaluate_columns({**base, **coord_columns}, cells, outputs)
+    coords = {name: col.tolist() for name, col in coord_columns.items()}
+    values = {name: columns[name].tolist() for name in outputs}
+    flagged = [False] * cells
+    notes = [""] * cells
+    for k in np.flatnonzero(redo).tolist():
+        cell = {name: col[k] for name, col in coords.items()}
         try:
-            outputs = binding.evaluate(base, coords)
+            cell_values = binding.evaluate({**base, **cell}, outputs)
         except EcodynError as exc:
-            return SweepRecord(coords, {}, True, str(exc))
-        return SweepRecord(coords, outputs, False)
-
-    all_coords = grid.coords()
-    if workers == 1:
-        records = [cell(c) for c in all_coords]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(cell, all_coords))
+            flagged[k] = True
+            notes[k] = str(exc)
+            cell_values = dict.fromkeys(outputs)
+        for name in outputs:
+            values[name][k] = cell_values[name]
 
     metadata = {
         "model": binding.model,
@@ -248,36 +431,21 @@ def sweep(
             {"name": a.name, "min": a.lower, "max": a.upper, "points": a.points}
             for a in grid.axes
         ],
-        "cells": grid.cells,
-        "flagged": sum(1 for r in records if r.flagged),
-        "workers": workers,
-        "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        "cells": cells,
+        "flagged": sum(flagged),
     }
-    return SweepResult(records, metadata)
+    return SweepResult(coords, values, flagged, notes, metadata)
 
 
 def stability_region(
-    base: dict[str, Any], grid: ParamGrid, mode: str = "direct", workers: int = 1
+    base: dict[str, Any], grid: ParamGrid, mode: str = "direct"
 ) -> SweepResult:
     """Two-axis budget sweep reporting only the pole and the stable mask."""
     if len(grid.axes) != 2:
         raise InvariantViolation(
             f"a stability region needs exactly 2 axes, got {len(grid.axes)}"
         )
-
-    def evaluate(b: dict[str, Any], coords: dict[str, float]) -> dict[str, Any]:
-        merged = {**b, **coords}
-        report = bd.stability_report(_budget_params(merged), mode)
-        return {"pole": report.pole, "stable": report.stable}
-
-    binding = ModelBinding(
-        model="budget",
-        allowed_axes=BUDGET_AXES,
-        required=BUDGET_AXES + ("gov_spending", "initial_wages"),
-        outputs=("pole", "stable"),
-        evaluate=evaluate,
-    )
-    result = sweep(binding, {**base, "mode": mode}, grid, workers=workers)
+    result = sweep(BINDINGS["budget"], {**base, "mode": mode}, grid, ("pole", "stable"))
     result.metadata["kind"] = "stability_region"
     result.metadata["mode"] = mode
     return result

@@ -69,15 +69,7 @@ class MarketValueSolution:
             raise SingularExponent(
                 "exponent 1 has a logarithmic solution, see singular_market_value"
             )
-        return cls(exponent, 1.0 / (exponent - 1.0))
-
-
-@dataclass(frozen=True)
-class ValuePoint:
-    """A true value and the market value the model assigns to it."""
-
-    true_value: float
-    market_value: float
+        return cls(exponent, _default_coeff(exponent))
 
 
 @dataclass(frozen=True)
@@ -91,6 +83,20 @@ class LimitProbeResult:
 
     points: tuple[tuple[float, float], ...]
     divergent: bool
+
+
+# The closed-form arithmetic, written once. Both helpers take floats or
+# numpy arrays, so the sweep engine evaluates whole grids with exactly
+# these term groupings and its cells equal the scalar calls bit for bit.
+
+
+def _default_coeff(exponent):
+    return 1.0 / (exponent - 1.0)
+
+
+def _power_law(homog_coeff, exponent, power, x):
+    """homog_coeff * x**exponent + exponent/(exponent-1) * x, given power = x**exponent."""
+    return homog_coeff * power + (exponent / (exponent - 1.0)) * x
 
 
 def exponent_from_gains(gains: FeedbackGains) -> float | BalancedFeedback:
@@ -116,8 +122,7 @@ def analytic_market_value(sol: MarketValueSolution, x: float) -> float:
     """Evaluate the closed-form market value at true value ``x``."""
     if x <= 0:
         raise DomainError(f"true value must be > 0, got {x}")
-    b = sol.exponent
-    return sol.homog_coeff * x**b + (b / (b - 1.0)) * x
+    return _power_law(sol.homog_coeff, sol.exponent, x**sol.exponent, x)
 
 
 def closed_form_slope(sol: MarketValueSolution, x: float) -> float:

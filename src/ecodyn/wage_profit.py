@@ -98,6 +98,12 @@ def gross_margin(cs: CostStructure) -> float:
     return margin
 
 
+def _profit_ratio(margin, wage, labor_weight):
+    """Net profit ratio; takes floats or numpy arrays, so the sweep engine
+    evaluates whole wage grids with exactly this expression."""
+    return margin / wage - labor_weight
+
+
 def total_cost(cs: CostStructure, wage: float) -> float:
     """Total cost per production unit at the given total labor cost."""
     if wage < 0:
@@ -109,7 +115,7 @@ def net_profit(cs: CostStructure, wage: float) -> float:
     """Net profit ratio per sold unit: margin over wage, minus the labor weight."""
     if wage <= 0:
         raise DomainError(f"wage must be > 0, got {wage}")
-    return gross_margin(cs) / wage - cs.labor_weight
+    return _profit_ratio(gross_margin(cs), wage, cs.labor_weight)
 
 
 def profit_derivatives(cs: CostStructure, wage: float) -> tuple[float, float]:
@@ -136,7 +142,7 @@ def optimal_wage(cs: CostStructure, bound: WageBound) -> ProfitPoint | Unbounded
     margin = gross_margin(cs)
     if bound.floor == 0:
         return UnboundedProfit()
-    return ProfitPoint(bound.floor, margin / bound.floor - cs.labor_weight)
+    return ProfitPoint(bound.floor, _profit_ratio(margin, bound.floor, cs.labor_weight))
 
 
 def profit_curve(cs: CostStructure, wages: list[float]) -> list[ProfitPoint]:

@@ -1,9 +1,16 @@
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from ecodyn import cli
 from ecodyn.cli import main
+from ecodyn.sweep import BINDINGS, Axis, ParamGrid, sweep
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -83,16 +90,16 @@ def test_budget_json_structure(capsys):
 
 
 def test_sweep_json_structure(capsys):
-    rc, out, _ = run(
-        ["sweep", "--config", str(DATA / "sweep_region.json"), "--format", "json"],
-        capsys,
-    )
+    argv = ["sweep", "--config", str(DATA / "sweep_region.json"), "--format", "json"]
+    rc, out, _ = run(argv, capsys)
     assert rc == 0
+    # nothing run-dependent in the file: a rerun gives the same bytes
+    assert run(argv, capsys)[1] == out
     doc = json.loads(out)
     meta = doc["metadata"]
     assert meta["kind"] == "stability_region"
     assert meta["cells"] == 9
-    assert meta.pop("timestamp")  # present but run-dependent
+    assert "timestamp" not in meta and "workers" not in meta
     rows = doc["rows"]
     assert len(rows) == 9
     assert all("note" in r for r in rows)
@@ -240,6 +247,115 @@ def test_sweep_all_cells_failed(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert "all 3 cells were rejected" in err
+
+
+def test_sweep_overflow_is_flagged_not_fatal(tmp_path, capsys):
+    cfg = {
+        "sweep": {
+            "model": "budget",
+            "base": {
+                "tax_rate": 0.3,
+                "spending_split": 0.5,
+                "private_fraction": 0.7,
+                "foreign_multiplier": 0.2,
+                "gov_spending": 100.0,
+                "initial_wages": 1000.0,
+                "mode": "incremental",
+                "horizon": 1000,
+            },
+            "axes": [{"name": "invest_share", "min": 0.0, "max": 50.0, "points": 6}],
+        }
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run(["sweep", "--config", str(path), "--format", "json"], capsys)
+    assert rc == 0
+    assert "Infinity" not in out and "NaN" not in out
+    rows = json.loads(out)["rows"]
+    assert [r["flagged"] for r in rows] == [False] + [True] * 5
+    assert rows[-1]["note"] == "final_pool overflows the float range"
+    assert "5 flagged" in err
+
+
+# -- writers against the csv.writer / json.dump route they replace ----------
+
+
+def _reference_cell(v):
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _reference_csv(columns, rows):
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_reference_cell(row.get(c)) for c in columns])
+    return stream.getvalue()
+
+
+def _reference_json(rows, metadata):
+    stream = io.StringIO()
+    json.dump({"metadata": metadata, "rows": rows}, stream, indent=2)
+    stream.write("\n")
+    return stream.getvalue()
+
+
+def _written(writer, *args):
+    stream = io.StringIO()
+    writer(*args, stream)
+    return stream.getvalue()
+
+
+def test_writers_match_the_reference_route(monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)  # rows span two write blocks
+    columns = {
+        "step": [0, 1, 2, 3],
+        "x": [0.1, -0.0, 1e300 * 10, math.nan],
+        "ok": [True, False, True, False],
+        'label {0}, "q"': ["plain", 'quote " and, comma', "line\nbreak", "caf\u00e9 {0}"],
+        "gap": [None, 2.5, -math.inf, np.float64(1e-320)],
+    }
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
+    metadata = {"command": "test", "exponent": None, "pole": math.inf, "rows": 4}
+    assert _written(cli._write_csv, columns) == _reference_csv(list(columns), rows)
+    assert _written(cli._write_json, columns, metadata) == _reference_json(rows, metadata)
+    empty = {"a": [], "b": []}
+    assert _written(cli._write_csv, empty) == _reference_csv(["a", "b"], [])
+    assert _written(cli._write_json, empty, metadata) == _reference_json([], metadata)
+
+
+def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
+    # flagged rows drop their output keys in JSON and leave empty CSV cells
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    base = {"true_value": 2.0, "homog_coeff": 0.5}
+    cfg = {
+        "sweep": {
+            "model": "value",
+            "base": base,
+            "axes": [
+                {"name": "exponent", "min": -1.0, "max": 3.0, "points": 5},
+                {"name": "true_value", "min": -1.0, "max": 2.0, "points": 4},
+            ],
+        }
+    }
+    path = tmp_path / "value_sweep.json"
+    path.write_text(json.dumps(cfg))
+    grid = ParamGrid((Axis("exponent", -1.0, 3.0, 5), Axis("true_value", -1.0, 2.0, 4)))
+    result = sweep(BINDINGS["value"], base, grid)
+    assert 0 < result.metadata["flagged"] < grid.cells
+    columns = ["exponent", "true_value", "market_value", "gap", "flagged"]
+    rows = [{**r.coords, **r.outputs, "flagged": r.flagged} for r in result.records]
+    json_rows = [{**row, "note": r.note} for row, r in zip(rows, result.records)]
+    rc, out, _ = run(["sweep", "--config", str(path)], capsys)
+    assert rc == 0 and out == _reference_csv(columns, rows)
+    rc, out, _ = run(["sweep", "--config", str(path), "--format", "json"], capsys)
+    assert rc == 0 and out == _reference_json(json_rows, result.metadata)
 
 
 def test_verify_config_tolerances(tmp_path, capsys):

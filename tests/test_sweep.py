@@ -1,6 +1,11 @@
+import math
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
-from ecodyn.errors import InvariantViolation
+from ecodyn.budget_dynamics import BudgetParams, closed_form, stability_report
+from ecodyn.errors import EcodynError, InvariantViolation
 from ecodyn.sweep import (
     BINDINGS,
     Axis,
@@ -9,6 +14,8 @@ from ecodyn.sweep import (
     stability_region,
     sweep,
 )
+from ecodyn.value_feedback import MarketValueSolution, analytic_market_value
+from ecodyn.wage_profit import CostStructure, net_profit
 
 BUDGET_BASE = {
     "tax_rate": 0.3,
@@ -68,10 +75,14 @@ def test_wage_sweep_values():
     assert result.records[0].outputs["net_profit"] == 7.5
     assert result.records[1].outputs["net_profit"] == 3.5
     assert not any(r.flagged for r in result.records)
-    assert result.metadata["model"] == "wage"
-    assert result.metadata["cells"] == 4
-    assert result.metadata["flagged"] == 0
-    assert "timestamp" in result.metadata
+    # no wall-clock or scheduling fields: the same sweep gives the same metadata
+    assert result.metadata == {
+        "model": "wage",
+        "kind": "sweep",
+        "axes": [{"name": "wage", "min": 1.0, "max": 4.0, "points": 4}],
+        "cells": 4,
+        "flagged": 0,
+    }
 
 
 def test_wage_sweep_is_strictly_decreasing():
@@ -135,18 +146,6 @@ def test_binding_reports_missing_params():
     with pytest.raises(InvariantViolation) as err:
         sweep(BINDINGS["wage"], {"labor_weight": 1.0}, grid)
     assert "max_market_price" in str(err.value)
-
-
-def test_worker_count_does_not_change_results():
-    grid = ParamGrid(
-        (Axis("tax_rate", 0.0, 1.0, 5), Axis("invest_share", 0.0, 1.0, 5))
-    )
-    serial = sweep(BINDINGS["budget"], BUDGET_BASE, grid, workers=1)
-    threaded = sweep(BINDINGS["budget"], BUDGET_BASE, grid, workers=4)
-    assert [r.coords for r in serial.records] == [r.coords for r in threaded.records]
-    assert [r.outputs for r in serial.records] == [r.outputs for r in threaded.records]
-    with pytest.raises(InvariantViolation):
-        sweep(BINDINGS["budget"], BUDGET_BASE, grid, workers=0)
 
 
 def test_stability_region():
@@ -234,3 +233,156 @@ def test_stability_boundary_sits_at_the_analytic_bound():
             bounds.append((lev - 1.0) / (1.0 + lev))
         for lo, hi in _stable_flag_flips(base):
             assert any(lo - 1e-12 <= b <= hi + 1e-12 for b in bounds)
+
+
+# -- columnar engine against the scalar model calls -------------------------
+#
+# The reference evaluates one cell at a time through the public model
+# functions. Clean cells must match it exactly (== and repr, so types and
+# signed zeros count too); rejected cells must carry the exception text as
+# their note, and cells whose outputs are not finite must be flagged as
+# numerical failures.
+
+
+def _budget_reference(params, outputs):
+    mode = params.get("mode", "direct")
+    budget = BudgetParams(**{f.name: params[f.name] for f in fields(BudgetParams)})
+    report = stability_report(budget, mode)
+    values = {"pole": report.pole, "stable": report.stable}
+    if "final_pool" in outputs:
+        values["final_pool"] = closed_form(budget, int(params.get("horizon", 10)), mode)
+    return values
+
+
+def _value_reference(params, outputs):
+    if "homog_coeff" in params:
+        sol = MarketValueSolution(params["exponent"], params["homog_coeff"])
+    else:
+        sol = MarketValueSolution.with_default_coeff(params["exponent"])
+    market = analytic_market_value(sol, params["true_value"])
+    return {"market_value": market, "gap": market - params["true_value"]}
+
+
+def _wage_reference(params, outputs):
+    cs = CostStructure(
+        params["max_market_price"],
+        params["labor_weight"],
+        tuple(tuple(pair) for pair in params.get("other_factors", ())),
+    )
+    return {"net_profit": net_profit(cs, params["wage"])}
+
+
+REFERENCES = {"budget": _budget_reference, "value": _value_reference, "wage": _wage_reference}
+
+
+def assert_matches_scalar(model, base, grid, outputs=None):
+    """Check every cell against the reference; return the kinds of cell seen.
+
+    A clean cell is "clean" when the columns computed it and "clean
+    (scalar)" when the engine sent it down the one-cell path.
+    """
+    binding = BINDINGS[model]
+    result = sweep(binding, base, grid, outputs)
+    outputs = outputs or binding.outputs
+    with np.errstate(all="ignore"):
+        _, redo = binding.evaluate_columns({**base, **grid.columns()}, grid.cells, outputs)
+    assert [r.coords for r in result.records] == grid.coords()
+    kinds = set()
+    for rec, scalar_path in zip(result.records, redo):
+        try:
+            values = REFERENCES[model]({**base, **rec.coords}, outputs)
+        except EcodynError as exc:
+            assert rec.flagged and rec.note == str(exc) and rec.outputs == {}
+            kinds.add("rejected")
+            continue
+        expected = {name: values[name] for name in outputs}
+        bad = [n for n, v in expected.items() if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            assert rec.flagged and rec.note == f"{bad[0]} is not finite: {expected[bad[0]]!r}"
+            kinds.add("non-finite")
+            continue
+        assert not rec.flagged and rec.note == ""
+        assert rec.outputs == expected
+        assert repr(rec.outputs) == repr(expected)
+        kinds.add("clean (scalar)" if scalar_path else "clean")
+    assert result.metadata["flagged"] == sum(r.flagged for r in result.records)
+    return kinds
+
+
+def test_columnar_budget_sweep_matches_scalar_model():
+    # spending_split crosses 1 and tax_rate reaches 1, where the direct pole
+    # is exactly 1 and closed_form takes its limit branch on the scalar path
+    grid = ParamGrid(
+        (Axis("spending_split", 0.5, 1.5, 11), Axis("tax_rate", 0.0, 1.0, 11))
+    )
+    for horizon in (0, 1, 25):
+        base = {**BUDGET_BASE, "horizon": horizon}
+        kinds = assert_matches_scalar("budget", base, grid)
+        assert kinds == {"clean", "clean (scalar)", "rejected"}
+        kinds = assert_matches_scalar("budget", base, grid, ("pole", "stable"))
+        assert kinds == {"clean", "rejected"}
+    # invest_share crosses 0 in incremental mode
+    grid = ParamGrid(
+        (Axis("invest_share", -0.5, 0.5, 11), Axis("private_fraction", 0.0, 1.0, 7))
+    )
+    base = {**BUDGET_BASE, "mode": "incremental", "horizon": 50}
+    assert assert_matches_scalar("budget", base, grid) == {"clean", "rejected"}
+    # integer inputs at pole exactly 1 keep the closed form's integer result
+    grid = ParamGrid((Axis("tax_rate", 0.0, 1.0, 3),))
+    ints = {**dict.fromkeys(BUDGET_BASE, 0), "spending_split": 1}
+    ints.update(gov_spending=100, initial_wages=1000)
+    assert assert_matches_scalar("budget", ints, grid) == {"clean", "clean (scalar)"}
+    # a NaN base value, a bad mode and a negative horizon reject every cell
+    for bad in ({"gov_spending": math.nan}, {"mode": "sideways"}, {"horizon": -1}):
+        assert assert_matches_scalar("budget", {**BUDGET_BASE, **bad}, grid) == {"rejected"}
+
+
+def test_columnar_value_sweep_matches_scalar_model():
+    # exponent hits 1 and true_value crosses 0
+    grid = ParamGrid((Axis("exponent", -1.0, 3.0, 9), Axis("true_value", -1.0, 2.0, 7)))
+    assert assert_matches_scalar("value", {}, grid) == {"clean", "rejected"}
+    assert assert_matches_scalar("value", {"homog_coeff": -0.5}, grid) == {"clean", "rejected"}
+    grid = ParamGrid((Axis("exponent", -1.0, 3.0, 9),))
+    assert assert_matches_scalar("value", {"true_value": math.nan}, grid) == {
+        "non-finite",
+        "rejected",
+    }
+
+
+def test_columnar_wage_sweep_matches_scalar_model():
+    base = {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": [[0.5, 4.0]]}
+    grid = ParamGrid((Axis("wage", -2.0, 4.0, 13),))
+    assert assert_matches_scalar("wage", base, grid) == {"clean", "rejected"}
+    # integer inputs, and a nonpositive margin that rejects every cell
+    assert assert_matches_scalar("wage", {"max_market_price": 10, "labor_weight": 1}, grid) == {
+        "clean",
+        "rejected",
+    }
+    no_margin = {**base, "other_factors": [[0.5, 30.0]]}
+    assert assert_matches_scalar("wage", no_margin, grid) == {"rejected"}
+
+
+def test_overflowing_cells_are_flagged_not_raised():
+    base = {**BUDGET_BASE, "mode": "incremental", "horizon": 1000}
+    grid = ParamGrid((Axis("invest_share", 0.0, 50.0, 11),))
+    result = sweep(BINDINGS["budget"], base, grid)
+    flagged = [r for r in result.records if r.flagged]
+    assert flagged and len(flagged) < len(result.records)
+    assert all(r.note == "final_pool overflows the float range" for r in flagged)
+    assert all(math.isfinite(r.outputs["final_pool"]) for r in result.records if not r.flagged)
+    # a pole that is itself infinite is flagged before final_pool is tried
+    base = {**BUDGET_BASE, "foreign_multiplier": 1e300}
+    grid = ParamGrid((Axis("invest_share", 0.0, 1e10, 3),))
+    notes = [r.note for r in sweep(BINDINGS["budget"], base, grid).records]
+    assert notes == ["", "pole is not finite: inf", "pole is not finite: inf"]
+    # the value model's power term overflows the same way
+    grid = ParamGrid((Axis("exponent", 100.0, 500.0, 4),))
+    records = sweep(BINDINGS["value"], {"true_value": 10.0}, grid).records
+    assert [r.flagged for r in records] == [False, False, True, True]
+    assert records[-1].note == "market_value overflows the float range"
+
+
+def test_sweep_rejects_unknown_output():
+    grid = ParamGrid((Axis("tax_rate", 0.0, 1.0, 3),))
+    with pytest.raises(InvariantViolation):
+        sweep(BINDINGS["budget"], BUDGET_BASE, grid, ("pole", "margin"))
