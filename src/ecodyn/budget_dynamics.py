@@ -15,10 +15,10 @@ added onto the current pool, which shifts the pole by exactly one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import InvariantViolation
+from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields
 
 MODES = ("direct", "incremental")
 
@@ -28,16 +28,6 @@ WEIGHT_SUM_TOL = 1e-12
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise InvariantViolation(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _check_unit(name: str, x: float) -> None:
-    if not (math.isfinite(x) and 0.0 <= x <= 1.0):
-        raise InvariantViolation(f"{name} must lie in [0, 1], got {x}")
-
-
-def _check_nonneg(name: str, x: float) -> None:
-    if not (math.isfinite(x) and x >= 0.0):
-        raise InvariantViolation(f"{name} must be finite and >= 0, got {x}")
 
 
 @dataclass(frozen=True)
@@ -55,25 +45,15 @@ class BudgetParams:
     initial_wages: wage pool at year zero, must be positive.
     """
 
-    tax_rate: float
-    spending_split: float
-    private_fraction: float
-    invest_share: float
-    foreign_multiplier: float
-    gov_spending: float
-    initial_wages: float
+    tax_rate: float = bounded(UNIT)
+    spending_split: float = bounded(UNIT)
+    private_fraction: float = bounded(UNIT)
+    invest_share: float = bounded(NONNEG)
+    foreign_multiplier: float = bounded(NONNEG)
+    gov_spending: float = bounded(NONNEG)
+    initial_wages: float = bounded(POSITIVE)
 
-    def __post_init__(self) -> None:
-        _check_unit("tax_rate", self.tax_rate)
-        _check_unit("spending_split", self.spending_split)
-        _check_unit("private_fraction", self.private_fraction)
-        _check_nonneg("invest_share", self.invest_share)
-        _check_nonneg("foreign_multiplier", self.foreign_multiplier)
-        _check_nonneg("gov_spending", self.gov_spending)
-        if not (math.isfinite(self.initial_wages) and self.initial_wages > 0):
-            raise InvariantViolation(
-                f"initial_wages must be finite and > 0, got {self.initial_wages}"
-            )
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -130,19 +110,12 @@ class DeficiencyFactors:
     quantity is zero.
     """
 
-    tax_collection: float = 0.0
-    work_effort: float = 0.0
-    spending_efficiency: float = 0.0
-    currency_value: float = 0.0
+    tax_collection: float = bounded(UNIT, 0.0)
+    work_effort: float = bounded(UNIT, 0.0)
+    spending_efficiency: float = bounded(UNIT, 0.0)
+    currency_value: float = bounded(UNIT, 0.0)
 
-    def __post_init__(self) -> None:
-        for name in (
-            "tax_collection",
-            "work_effort",
-            "spending_efficiency",
-            "currency_value",
-        ):
-            _check_unit(name, getattr(self, name))
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -193,9 +166,9 @@ class SpendingInputs:
         if not self.weights:
             raise InvariantViolation("at least one spending category is required")
         for w in self.weights:
-            _check_unit("spending weight", w)
+            UNIT.check("spending weight", w)
         for g in self.levels:
-            _check_nonneg("spending level", g)
+            NONNEG.check("spending level", g)
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise InvariantViolation(
                 f"spending weights must sum to 1, got {sum(self.weights)!r}"
@@ -217,9 +190,9 @@ class WelfareInputs:
         if not self.weights:
             raise InvariantViolation("at least one welfare indicator is required")
         for w in self.weights:
-            _check_unit("welfare weight", w)
+            UNIT.check("welfare weight", w)
         for h in self.hardships:
-            _check_unit("hardship level", h)
+            UNIT.check("hardship level", h)
         if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
             raise InvariantViolation(
                 f"welfare weights must sum to 1, got {sum(self.weights)!r}"

@@ -19,6 +19,8 @@ import csv
 import io
 import json
 import sys
+from dataclasses import MISSING
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import IO, Any, Callable, Iterator
 
@@ -26,11 +28,10 @@ from . import __version__, audit
 from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
-from .errors import DomainError, EcodynError, InvariantViolation
+from .errors import DomainError, EcodynError, InvariantViolation, finite
 from .oracles import IntegrationSpec, rk4_integrate
-from .sweep import BINDINGS, Axis, ParamGrid, stability_region, sweep
-
-_MISSING = object()
+from .schema import integer, number, read
+from .sweep import BINDINGS, Axis, ParamGrid, check_base, cost_structure, stability_region, sweep
 
 
 def _say(msg: str) -> None:
@@ -50,42 +51,20 @@ def _load_config(path: str) -> dict[str, Any]:
     return cfg
 
 
-def _section(cfg: dict[str, Any], name: str) -> dict[str, Any]:
-    if name not in cfg:
+def _section(cfg: dict[str, Any], name: str, default: Any = MISSING) -> dict[str, Any]:
+    section = cfg.get(name, default)
+    if section is MISSING:
         raise InvariantViolation(f"config has no {name!r} section")
-    section = cfg[name]
     if not isinstance(section, dict):
         raise InvariantViolation(f"config section {name!r} must be an object")
     return section
-
-
-def _num(section: dict[str, Any], key: str, default: Any = _MISSING) -> float:
-    if key not in section:
-        if default is _MISSING:
-            raise InvariantViolation(f"missing numeric key {key!r}")
-        return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise InvariantViolation(f"key {key!r} must be a number, got {v!r}")
-    return float(v)
-
-
-def _int(section: dict[str, Any], key: str, default: Any = _MISSING) -> int:
-    if key not in section:
-        if default is _MISSING:
-            raise InvariantViolation(f"missing integer key {key!r}")
-        return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InvariantViolation(f"key {key!r} must be an integer, got {v!r}")
-    return v
 
 
 def _grid_values(section: dict[str, Any], key: str = "grid") -> list[float]:
     spec = section.get(key)
     if not isinstance(spec, dict):
         raise InvariantViolation(f"section needs a {key!r} object with min/max/points")
-    axis = Axis("grid", _num(spec, "min"), _num(spec, "max"), _int(spec, "points"))
+    axis = Axis("grid", number(spec, "min"), number(spec, "max"), integer(spec, "points"))
     return axis.grid()
 
 
@@ -235,9 +214,7 @@ def _emit(
 
 
 def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str, str | None]:
-    out_cfg = cfg.get("output", {})
-    if not isinstance(out_cfg, dict):
-        raise InvariantViolation("config section 'output' must be an object")
+    out_cfg = _section(cfg, "output", {})
     fmt = args.format or out_cfg.get("format") or "csv"
     if fmt not in ("csv", "json"):
         raise InvariantViolation(f"output format must be csv or json, got {fmt!r}")
@@ -249,20 +226,13 @@ def _run_wage(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "wage")
     fmt, out = _output_options(args, cfg)
-    factors = sec.get("other_factors", [])
-    if not isinstance(factors, list):
-        raise InvariantViolation("'other_factors' must be a list of [weight, value] pairs")
-    cs = wp.CostStructure(
-        _num(sec, "max_market_price"),
-        _num(sec, "labor_weight"),
-        tuple((pair[0], pair[1]) for pair in factors),
-    )
+    cs = cost_structure(sec)
     wages = _grid_values(sec) if "grid" in sec else []
 
     _say(f"gross margin: {wp.gross_margin(cs)!r}")
     sign_at: float | None = wages[0] if wages else None
     if "floor" in sec:
-        best = wp.optimal_wage(cs, wp.WageBound(_num(sec, "floor")))
+        best = wp.optimal_wage(cs, read(wp.WageBound, sec))
         if isinstance(best, wp.UnboundedProfit):
             _say(
                 "optimal wage: unbounded (no wage floor; net profit per unit "
@@ -303,11 +273,8 @@ def _value_exponent(sec: dict[str, Any]) -> float | vf.BalancedFeedback:
             "give either 'exponent' or the gain pair, not both"
         )
     if has_gains:
-        gains = vf.FeedbackGains(
-            _num(sec, "inflation_gain"), _num(sec, "deflation_gain")
-        )
-        return vf.exponent_from_gains(gains)
-    return _num(sec, "exponent")
+        return vf.exponent_from_gains(read(vf.FeedbackGains, sec))
+    return number(sec, "exponent")
 
 
 def _run_value(args: argparse.Namespace) -> int:
@@ -325,7 +292,7 @@ def _run_value(args: argparse.Namespace) -> int:
         if not isinstance(exponents, list) or not exponents:
             raise InvariantViolation("'probe' needs a non-empty 'exponents' list")
         result = vf.limit_probe(
-            _num(probe_sec, "true_value"), [float(b) for b in exponents]
+            number(probe_sec, "true_value"), [float(b) for b in exponents]
         )
         _say(
             "probe regime: "
@@ -346,7 +313,7 @@ def _run_value(args: argparse.Namespace) -> int:
 
     exponent = _value_exponent(sec)
     xs = _grid_values(sec)
-    steps = _int(sec, "rk4_steps", 1000)
+    steps = integer(sec, "rk4_steps", 1000)
     if steps < 1:
         raise InvariantViolation(f"'rk4_steps' must be >= 1, got {steps}")
 
@@ -360,27 +327,18 @@ def _run_value(args: argparse.Namespace) -> int:
         meta_exponent: Any = None
     else:
         if exponent == 1:
-            coeff = _num(sec, "homog_coeff", 1.0)
+            curve = partial(vf.singular_market_value, number(sec, "homog_coeff", 1.0))
             _say("exponent 1: using the logarithmic closed form")
-
-            def value_at(x: float) -> float:
-                return vf.singular_market_value(coeff, x)
-
         else:
-            if "homog_coeff" in sec:
-                sol = vf.MarketValueSolution(exponent, _num(sec, "homog_coeff"))
-            else:
-                sol = vf.MarketValueSolution.with_default_coeff(exponent)
-
-            def value_at(x: float) -> float:
-                return vf.analytic_market_value(sol, x)
+            sol = vf._solution(exponent, number(sec, "homog_coeff", None))
+            curve = partial(vf.analytic_market_value, sol)
 
         anchor = xs[0]
-        y0 = value_at(anchor)
+        y0 = finite("market_value", partial(curve, anchor))
         market = []
         errors = []
         for x in xs:
-            y = value_at(x)
+            y = finite("market_value", partial(curve, x))
             if x == anchor:
                 err = 0.0
             else:
@@ -404,41 +362,19 @@ def _run_value(args: argparse.Namespace) -> int:
     return 0
 
 
-def _deficiencies(sec: dict[str, Any]) -> bd.DeficiencyFactors | None:
-    d = sec.get("deficiencies")
-    if d is None:
-        return None
-    if not isinstance(d, dict):
-        raise InvariantViolation("'deficiencies' must be an object")
-    return bd.DeficiencyFactors(
-        tax_collection=_num(d, "tax_collection", 0.0),
-        work_effort=_num(d, "work_effort", 0.0),
-        spending_efficiency=_num(d, "spending_efficiency", 0.0),
-        currency_value=_num(d, "currency_value", 0.0),
-    )
-
-
 def _run_budget(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "budget")
     fmt, out = _output_options(args, cfg)
     mode = args.mode or sec.get("mode", "direct")
-    horizon = _int(sec, "horizon", 10)
+    horizon = integer(sec, "horizon", 10)
     if horizon < 0:
         raise InvariantViolation(f"'horizon' must be >= 0, got {horizon}")
 
-    params = bd.BudgetParams(
-        tax_rate=_num(sec, "tax_rate"),
-        spending_split=_num(sec, "spending_split"),
-        private_fraction=_num(sec, "private_fraction"),
-        invest_share=_num(sec, "invest_share"),
-        foreign_multiplier=_num(sec, "foreign_multiplier"),
-        gov_spending=_num(sec, "gov_spending"),
-        initial_wages=_num(sec, "initial_wages"),
-    )
-    factors = _deficiencies(sec)
+    params = read(bd.BudgetParams, sec)
     balance_note = ""
-    if factors is not None:
+    if sec.get("deficiencies") is not None:
+        factors = read(bd.DeficiencyFactors, _section(sec, "deficiencies"))
         adjusted = bd.apply_deficiencies(params, factors)
         params = adjusted.as_params(params)
         eroded = adjusted.scale_balance(bd.flow_balance(params))
@@ -488,6 +424,8 @@ def _run_budget(args: argparse.Namespace) -> int:
 
     levels = bd.iterate(params, horizon, mode)
     steps = list(range(len(levels)))
+    # a trajectory that leaves the float range is largest in its last year
+    finite("closed_form", partial(bd.closed_form, params, horizon, mode))
     closed = [bd.closed_form(params, step, mode) for step in steps]
     diffs = [abs(level - c) for level, c in zip(levels, closed)]
     max_dev = max(diffs, default=0.0)
@@ -515,9 +453,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         raise InvariantViolation(
             f"'model' must be one of {sorted(BINDINGS)}, got {model!r}"
         )
-    base = sec.get("base", {})
-    if not isinstance(base, dict):
-        raise InvariantViolation("'base' must be an object")
+    base = _section(sec, "base", {})
+    check_base(BINDINGS[model], base)
     axes_spec = sec.get("axes")
     if not isinstance(axes_spec, list) or not axes_spec:
         raise InvariantViolation("'axes' must be a non-empty list")
@@ -526,7 +463,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         if not isinstance(spec, dict) or "name" not in spec:
             raise InvariantViolation("each axis needs name/min/max/points")
         axes.append(
-            Axis(str(spec["name"]), _num(spec, "min"), _num(spec, "max"), _int(spec, "points"))
+            Axis(str(spec["name"]), number(spec, "min"), number(spec, "max"), integer(spec, "points"))
         )
     grid = ParamGrid(tuple(axes))
     kind = sec.get("kind", "sweep")
@@ -581,15 +518,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     overrides: dict[str, float] = {}
     if args.config is not None:
         cfg = _load_config(args.config)
-        ver = cfg.get("verification", {})
-        if not isinstance(ver, dict):
-            raise InvariantViolation("config section 'verification' must be an object")
-        for name, value in ver.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise InvariantViolation(
-                    f"verification tolerance {name!r} must be a number, got {value!r}"
-                )
-            overrides[name] = float(value)
+        ver = _section(cfg, "verification", {})
+        overrides = {name: number(ver, name) for name in ver}
     overrides.update(_parse_tolerances(args.tolerance))
     report = audit.run_all(overrides)
     for r in report.results:

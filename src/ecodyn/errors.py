@@ -1,5 +1,8 @@
 """Exception types shared across the model modules."""
 
+import math
+from typing import Callable
+
 
 class EcodynError(Exception):
     """Base class for all errors raised by this package."""
@@ -25,3 +28,14 @@ class SingularExponent(EcodynError, ValueError):
 
 class NumericalFailure(EcodynError, ArithmeticError):
     """A numerical routine produced non-finite intermediate values."""
+
+
+def finite(name: str, compute: Callable[[], float]) -> float:
+    """Run compute, turning overflow or a non-finite result into a NumericalFailure."""
+    try:
+        value = compute()
+    except OverflowError:
+        raise NumericalFailure(f"{name} overflows the float range") from None
+    if not math.isfinite(value):
+        raise NumericalFailure(f"{name} is not finite: {value!r}")
+    return value

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, InvariantViolation, NumericalFailure
+from .schema import POSITIVE, bounded, check_fields
 
 Rhs = Callable[[float, float], float]
 Scalar = Callable[[float], float]
@@ -43,14 +44,9 @@ class DiffSpec:
     truncation vs rounding on O(1) argument scales; callers working on
     other scales should pass their own h."""
 
-    h: float = DEFAULT_DIFF_STEP
-    scheme: str = "central"
+    h: float = bounded(POSITIVE, DEFAULT_DIFF_STEP)
 
-    def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise InvariantViolation(f"h must be > 0, got {self.h}")
-        if self.scheme != "central":
-            raise InvariantViolation(f"unsupported scheme {self.scheme!r}")
+    __post_init__ = check_fields
 
 
 def rk4_integrate(spec: IntegrationSpec, y_start: float) -> float:

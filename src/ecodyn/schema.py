@@ -1,0 +1,108 @@
+"""Admissible parameter ranges, declared once per dataclass field, and the
+config readers that go with them.
+
+A field declared with :func:`bounded` carries a :class:`Bound`: a closed
+interval of finite numbers. The same declaration drives the dataclass's
+``__post_init__`` check (:func:`check_fields`) and the sweep engine's
+column masks, and :func:`read` builds any of these dataclasses from a
+config mapping with the field defaults.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from dataclasses import MISSING, field, fields
+from functools import cache
+from typing import Any, Mapping, NamedTuple
+
+from .errors import InvariantViolation
+
+
+class Bound(NamedTuple):
+    """The closed interval [lower, upper] of admissible values.
+
+    Both ends are finite, so one pair of comparisons also rejects NaN and
+    the infinities. An excluded end is stored as the next float inside it.
+    """
+
+    lower: float
+    upper: float
+    text: str
+
+    def check(self, name: str, value: float) -> None:
+        if not self.lower <= value <= self.upper:
+            raise InvariantViolation(f"{name} {self.text}, got {value}")
+
+
+UNIT = Bound(0.0, 1.0, "must lie in [0, 1]")
+NONNEG = Bound(0.0, sys.float_info.max, "must be finite and >= 0")
+POSITIVE = Bound(math.nextafter(0.0, 1.0), sys.float_info.max, "must be finite and > 0")
+
+
+def bounded(bound: Bound, default: Any = MISSING) -> Any:
+    """A dataclass field whose values must lie in bound."""
+    return field(default=default, metadata={"bound": bound})
+
+
+@cache
+def declared(cls: type) -> tuple[tuple[str, float, float, str], ...]:
+    """(name, lower, upper, text) of each bounded field of a dataclass."""
+    return tuple((f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
+
+
+def check_fields(obj: Any) -> None:
+    """Raise on the first bounded field of obj outside its bound.
+
+    Bound.check is inlined here: the audit builds tens of thousands of
+    parameter sets per run, and a flat loop keeps that cost low.
+    """
+    for name, lower, upper, text in declared(type(obj)):
+        value = getattr(obj, name)
+        if not lower <= value <= upper:
+            raise InvariantViolation(f"{name} {text}, got {value}")
+
+
+def _is_number(v: Any) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def number(section: Mapping[str, Any], key: str, default: Any = MISSING) -> float:
+    """section[key] as a float; booleans and other types are rejected."""
+    if key not in section:
+        if default is MISSING:
+            raise InvariantViolation(f"missing numeric key {key!r}")
+        return default
+    v = section[key]
+    if not _is_number(v):
+        raise InvariantViolation(f"key {key!r} must be a number, got {v!r}")
+    return float(v)
+
+
+def integer(section: Mapping[str, Any], key: str, default: Any = MISSING) -> int:
+    """section[key] as an int; booleans, floats and other types are rejected."""
+    if key not in section:
+        if default is MISSING:
+            raise InvariantViolation(f"missing integer key {key!r}")
+        return default
+    v = section[key]
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InvariantViolation(f"key {key!r} must be an integer, got {v!r}")
+    return v
+
+
+def factor_pairs(section: Mapping[str, Any], key: str) -> tuple[tuple[float, float], ...]:
+    """section[key] as (weight, value) pairs of numbers, () when absent."""
+    pairs = section.get(key, ())
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))
+        for pair in pairs
+    ):
+        raise InvariantViolation(f"{key!r} must be a list of [weight, value] number pairs")
+    return tuple(map(tuple, pairs))
+
+
+def read(cls: type, section: Mapping[str, Any], **given: Any) -> Any:
+    """cls from a config mapping; fields not given are read with number()."""
+    values = {f.name: number(section, f.name, f.default) for f in fields(cls) if f.name not in given}
+    return cls(**values, **given)

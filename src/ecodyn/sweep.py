@@ -19,14 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
-from .errors import EcodynError, InvariantViolation, NumericalFailure
+from .errors import EcodynError, InvariantViolation, finite
+from .schema import declared, factor_pairs, integer, number, read
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,10 @@ class ModelBinding:
     """Hooks one model into the sweep engine.
 
     allowed_axes lists the parameter names a sweep may vary; required
-    lists the keys that must be present in the base parameters or as an
-    axis; outputs fixes the full column set a sweep can report.
+    lists the numeric keys that must be present in the base parameters or
+    as an axis; optional maps the other keys the model reads to the config
+    reader that checks their type; outputs fixes the full column set a
+    sweep can report.
 
     evaluate_columns(params, cells, outputs) gets every axis as a numpy
     column in params and returns at least the requested output columns,
@@ -156,20 +159,10 @@ class ModelBinding:
     model: str
     allowed_axes: tuple[str, ...]
     required: tuple[str, ...]
+    optional: dict[str, Callable[[Mapping[str, Any], str], Any]]
     outputs: tuple[str, ...]
     evaluate: Callable[[dict[str, Any], tuple[str, ...]], dict[str, Any]]
     evaluate_columns: Callable[[dict[str, Any], int, tuple[str, ...]], EvaluatedColumns]
-
-
-def _finite(name: str, compute: Callable[[], float]) -> float:
-    """Run compute, turning overflow or a non-finite result into a rejection."""
-    try:
-        value = compute()
-    except OverflowError:
-        raise NumericalFailure(f"{name} overflows the float range") from None
-    if not math.isfinite(value):
-        raise NumericalFailure(f"{name} is not finite: {value!r}")
-    return value
 
 
 def _float_columns(values: list[Any], cells: int) -> list[np.ndarray] | None:
@@ -217,32 +210,21 @@ def _pow_or_inf(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _in_unit(x: np.ndarray) -> np.ndarray:
-    return np.isfinite(x) & (x >= 0.0) & (x <= 1.0)
-
-
-def _nonneg(x: np.ndarray) -> np.ndarray:
-    return np.isfinite(x) & (x >= 0.0)
-
-
-def _cost_structure(params: dict[str, Any]) -> wp.CostStructure:
-    return wp.CostStructure(
-        params["max_market_price"],
-        params["labor_weight"],
-        tuple(tuple(pair) for pair in params.get("other_factors", ())),
-    )
+def cost_structure(params: Mapping[str, Any]) -> wp.CostStructure:
+    """The wage model's cost structure from a parameter or config mapping."""
+    return read(wp.CostStructure, params, other_factors=factor_pairs(params, "other_factors"))
 
 
 def _eval_wage(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
-    cs = _cost_structure(params)
-    return {"net_profit": _finite("net_profit", lambda: wp.net_profit(cs, params["wage"]))}
+    cs = cost_structure(params)
+    return {"net_profit": finite("net_profit", lambda: wp.net_profit(cs, params["wage"]))}
 
 
 def _wage_columns(
     params: dict[str, Any], cells: int, outputs: tuple[str, ...]
 ) -> EvaluatedColumns:
     try:
-        cs = _cost_structure(params)
+        cs = cost_structure(params)
         margin = wp.gross_margin(cs)
     except EcodynError:
         return _unevaluated(cells, outputs)
@@ -256,13 +238,10 @@ def _wage_columns(
 
 
 def _eval_value(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
-    if "homog_coeff" in params:
-        sol = vf.MarketValueSolution(params["exponent"], params["homog_coeff"])
-    else:
-        sol = vf.MarketValueSolution.with_default_coeff(params["exponent"])
+    sol = vf._solution(params["exponent"], params.get("homog_coeff"))
     x = params["true_value"]
-    market = _finite("market_value", lambda: vf.analytic_market_value(sol, x))
-    return {"market_value": market, "gap": _finite("gap", lambda: market - x)}
+    market = finite("market_value", lambda: vf.analytic_market_value(sol, x))
+    return {"market_value": market, "gap": finite("gap", lambda: market - x)}
 
 
 def _value_columns(
@@ -281,18 +260,7 @@ def _value_columns(
     return {"market_value": market, "gap": gap}, redo
 
 
-BUDGET_AXES = (
-    "tax_rate",
-    "spending_split",
-    "private_fraction",
-    "invest_share",
-    "foreign_multiplier",
-)
 BUDGET_PARAMS = tuple(field.name for field in fields(bd.BudgetParams))
-
-
-def _budget_params(params: dict[str, Any]) -> bd.BudgetParams:
-    return bd.BudgetParams(**{name: params[name] for name in BUDGET_PARAMS})
 
 
 def _horizon(params: dict[str, Any]) -> int:
@@ -302,11 +270,11 @@ def _horizon(params: dict[str, Any]) -> int:
 def _eval_budget(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
     mode = params.get("mode", "direct")
     horizon = _horizon(params) if "final_pool" in outputs else None
-    budget = _budget_params(params)
+    budget = bd.BudgetParams(**{name: params[name] for name in BUDGET_PARAMS})
     report = bd.stability_report(budget, mode)
-    values = {"pole": _finite("pole", lambda: report.pole), "stable": report.stable}
+    values = {"pole": finite("pole", lambda: report.pole), "stable": report.stable}
     if horizon is not None:
-        values["final_pool"] = _finite(
+        values["final_pool"] = finite(
             "final_pool", lambda: bd.closed_form(budget, horizon, mode)
         )
     return values
@@ -322,8 +290,10 @@ def _budget_columns(
     t, s, p, i, f, g, w0 = operands
     coeffs = bd._coefficients(t, s, p, i, f, g)
     pole = coeffs.pole_in_mode(mode)
-    valid = _in_unit(t) & _in_unit(s) & _in_unit(p) & _nonneg(i) & _nonneg(f)
-    valid &= _nonneg(g) & np.isfinite(w0) & (w0 > 0.0) & np.isfinite(pole)
+    # the cells BudgetParams admits, from its declared bounds
+    valid = np.isfinite(pole)
+    for (_, lower, upper, _), column in zip(declared(bd.BudgetParams), operands):
+        valid &= (column >= lower) & (column <= upper)
     redo = ~valid
     values = {"pole": pole, "stable": bd._is_stable(pole)}
     if "final_pool" in outputs:
@@ -344,6 +314,7 @@ BINDINGS: dict[str, ModelBinding] = {
         model="wage",
         allowed_axes=("wage",),
         required=("max_market_price", "labor_weight", "wage"),
+        optional={"other_factors": factor_pairs},
         outputs=("net_profit",),
         evaluate=_eval_wage,
         evaluate_columns=_wage_columns,
@@ -352,14 +323,16 @@ BINDINGS: dict[str, ModelBinding] = {
         model="value",
         allowed_axes=("true_value", "exponent"),
         required=("exponent", "true_value"),
+        optional={"homog_coeff": number},
         outputs=("market_value", "gap"),
         evaluate=_eval_value,
         evaluate_columns=_value_columns,
     ),
     "budget": ModelBinding(
         model="budget",
-        allowed_axes=BUDGET_AXES,
+        allowed_axes=BUDGET_PARAMS,
         required=BUDGET_PARAMS,
+        optional={"horizon": integer},
         outputs=("pole", "stable", "final_pool"),
         evaluate=_eval_budget,
         evaluate_columns=_budget_columns,
@@ -383,6 +356,16 @@ def check_binding(
         raise InvariantViolation(
             f"model {binding.model!r} is missing parameters {missing}"
         )
+
+
+def check_base(binding: ModelBinding, base: Mapping[str, Any]) -> None:
+    """Reject base values of the wrong type, as the single-run subcommands
+    read them. Values are not converted, and values out of range are left
+    for the cells to flag; sweep() itself does not call this."""
+    readers = {**dict.fromkeys(binding.required, number), **binding.optional}
+    for key, read_value in readers.items():
+        if key in base:
+            read_value(base, key)
 
 
 def sweep(

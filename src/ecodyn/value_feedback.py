@@ -13,23 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InvariantViolation, SingularExponent
+from .errors import DomainError, SingularExponent
+from .schema import NONNEG, bounded, check_fields
 
 
 @dataclass(frozen=True)
 class FeedbackGains:
     """Unit costs of pushing the market price up versus letting it fall."""
 
-    inflation_gain: float
-    deflation_gain: float
+    inflation_gain: float = bounded(NONNEG)
+    deflation_gain: float = bounded(NONNEG)
 
-    def __post_init__(self) -> None:
-        for name, g in (
-            ("inflation_gain", self.inflation_gain),
-            ("deflation_gain", self.deflation_gain),
-        ):
-            if not math.isfinite(g) or g < 0:
-                raise InvariantViolation(f"{name} must be finite and >= 0, got {g}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
@@ -70,6 +65,13 @@ class MarketValueSolution:
                 "exponent 1 has a logarithmic solution, see singular_market_value"
             )
         return cls(exponent, _default_coeff(exponent))
+
+
+def _solution(exponent: float, homog_coeff: float | None) -> MarketValueSolution:
+    """The solution with homog_coeff, or with the default constant when it is None."""
+    if homog_coeff is None:
+        return MarketValueSolution.with_default_coeff(exponent)
+    return MarketValueSolution(exponent, homog_coeff)
 
 
 @dataclass(frozen=True)

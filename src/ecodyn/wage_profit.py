@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantViolation, NonpositiveMargin
+from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -26,8 +27,8 @@ class CostStructure:
     renormalized silently.
     """
 
-    max_market_price: float
-    labor_weight: float
+    max_market_price: float = bounded(POSITIVE)
+    labor_weight: float = bounded(UNIT)
     other_factors: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -36,18 +37,11 @@ class CostStructure:
             "other_factors",
             tuple((float(w), float(z)) for w, z in self.other_factors),
         )
-        if not self.max_market_price > 0:
-            raise InvariantViolation(
-                f"max_market_price must be > 0, got {self.max_market_price}"
-            )
-        weights = [self.labor_weight] + [w for w, _ in self.other_factors]
-        for w in weights:
-            if not 0.0 <= w <= 1.0:
-                raise InvariantViolation(f"weight {w} outside [0, 1]")
-        for _, z in self.other_factors:
-            if z < 0:
-                raise InvariantViolation(f"factor value {z} must be >= 0")
-        total = sum(weights)
+        check_fields(self)
+        for w, z in self.other_factors:
+            UNIT.check("factor weight", w)
+            NONNEG.check("factor value", z)
+        total = sum((w for w, _ in self.other_factors), self.labor_weight)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvariantViolation(
                 f"cost weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
@@ -58,23 +52,19 @@ class CostStructure:
 class WageBound:
     """Minimum allowable total labor cost (the legislated floor)."""
 
-    floor: float
+    floor: float = bounded(NONNEG)
 
-    def __post_init__(self) -> None:
-        if self.floor < 0:
-            raise InvariantViolation(f"wage floor must be >= 0, got {self.floor}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)
 class ProfitPoint:
     """A wage and the net profit ratio attained there."""
 
-    wage: float
+    wage: float = bounded(POSITIVE)
     net_profit: float
 
-    def __post_init__(self) -> None:
-        if not self.wage > 0:
-            raise InvariantViolation(f"wage must be > 0, got {self.wage}")
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

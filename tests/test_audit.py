@@ -4,8 +4,13 @@ from ecodyn import audit
 from ecodyn.errors import InvariantViolation
 
 
-def test_everything_passes_at_default_tolerances():
-    report = audit.run_all()
+@pytest.fixture(scope="module")
+def report():
+    """The default-tolerance audit, run once for the tests that only read it."""
+    return audit.run_all()
+
+
+def test_everything_passes_at_default_tolerances(report):
     assert report.all_passed
     assert len(report.results) == len(audit.CHECKS)
     for r in report.results:
@@ -21,10 +26,9 @@ def test_check_names_are_stable():
         assert description
 
 
-def test_runs_are_deterministic():
-    first = audit.run_all()
+def test_runs_are_deterministic(report):
     second = audit.run_all()
-    assert [(r.name, r.observed, r.detail) for r in first.results] == [
+    assert [(r.name, r.observed, r.detail) for r in report.results] == [
         (r.name, r.observed, r.detail) for r in second.results
     ]
 
@@ -34,21 +38,20 @@ def test_unknown_override_is_rejected():
         audit.run_all({"no_such_check": 1e-3})
 
 
-def test_tightened_tolerance_fails_cleanly():
-    report = audit.run_all({"rk4_agreement": 1e-15})
-    assert not report.all_passed
-    by_name = {r.name: r for r in report.results}
+def test_tightened_tolerance_fails_cleanly(report):
+    tightened = audit.run_all({"rk4_agreement": 1e-15})
+    assert not tightened.all_passed
+    by_name = {r.name: r for r in tightened.results}
     assert not by_name["rk4_agreement"].passed
     # the override leaves every other check untouched
-    baseline = {r.name: r.observed for r in audit.run_all().results}
-    for r in report.results:
+    baseline = {r.name: r.observed for r in report.results}
+    for r in tightened.results:
         if r.name != "rk4_agreement":
             assert r.passed
         assert r.observed == baseline[r.name]
 
 
-def test_notes_present():
-    report = audit.run_all()
+def test_notes_present(report):
     assert [n.name for n in report.notes] == [
         "gap_sign",
         "slope_factoring",

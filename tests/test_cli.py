@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ecodyn import cli
 from ecodyn.cli import main
@@ -275,6 +276,84 @@ def test_sweep_overflow_is_flagged_not_fatal(tmp_path, capsys):
     assert [r["flagged"] for r in rows] == [False] + [True] * 5
     assert rows[-1]["note"] == "final_pool overflows the float range"
     assert "5 flagged" in err
+
+
+BUDGET = {
+    "tax_rate": 0.3,
+    "spending_split": 0.5,
+    "private_fraction": 0.7,
+    "invest_share": 0.1,
+    "foreign_multiplier": 0.2,
+    "gov_spending": 100.0,
+    "initial_wages": 1000.0,
+}
+TAX_AXIS = [{"name": "tax_rate", "min": 0.0, "max": 1.0, "points": 3}]
+
+
+def _budget_sweep(**base):
+    return {"sweep": {"model": "budget", "base": {**BUDGET, **base}, "axes": TAX_AXIS}}
+
+
+# Each of these crashed with a traceback or was silently accepted before the
+# sweep base was checked against the parameter declarations; mistyped values
+# are config errors (exit 1), overflow is a numerical failure (exit 2).
+BAD_CONFIGS = {
+    "sweep-string-value": (_budget_sweep(private_fraction="high"), 1, "must be a number"),
+    "sweep-boolean-value": (_budget_sweep(private_fraction=True), 1, "must be a number"),
+    "sweep-horizon-string": (_budget_sweep(horizon="abc"), 1, "must be an integer"),
+    "sweep-horizon-null": (_budget_sweep(horizon=None), 1, "must be an integer"),
+    "sweep-horizon-fraction": (_budget_sweep(horizon=2.5), 1, "must be an integer"),
+    "sweep-homog-coeff-string": (
+        {
+            "sweep": {
+                "model": "value",
+                "base": {"true_value": 2.0, "homog_coeff": "x"},
+                "axes": [{"name": "exponent", "min": -2.0, "max": -1.0, "points": 3}],
+            }
+        },
+        1,
+        "must be a number",
+    ),
+    "wage-short-factor-pair": (
+        {"wage": {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": [[0.5]]}},
+        1,
+        "'other_factors' must be a list",
+    ),
+    "sweep-factors-not-a-list": (
+        {
+            "sweep": {
+                "model": "wage",
+                "base": {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": 3},
+                "axes": [{"name": "wage", "min": 1.0, "max": 2.0, "points": 3}],
+            }
+        },
+        1,
+        "'other_factors' must be a list",
+    ),
+    "budget-closed-form-overflow": (
+        {"budget": {**BUDGET, "invest_share": 5, "horizon": 2000}},
+        2,
+        "closed_form overflows the float range",
+    ),
+    "value-power-overflow": (
+        {"value": {"exponent": 400, "grid": {"min": 1, "max": 10, "points": 5}}},
+        2,
+        "market_value overflows the float range",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BAD_CONFIGS)
+def test_bad_configs_exit_with_one_error_line(tmp_path, capsys, name):
+    cfg, code, message = BAD_CONFIGS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run([next(iter(cfg)), "--config", str(path)], capsys)
+    assert rc == code
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
 
 
 # -- writers against the csv.writer / json.dump route they replace ----------

@@ -68,8 +68,6 @@ def test_diff_spec_validation():
         DiffSpec(h=0.0)
     with pytest.raises(InvariantViolation):
         DiffSpec(h=-1e-5)
-    with pytest.raises(InvariantViolation):
-        DiffSpec(scheme="forward")
 
 
 def test_central_first_derivative():

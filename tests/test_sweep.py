@@ -332,6 +332,17 @@ def test_columnar_budget_sweep_matches_scalar_model():
     ints = {**dict.fromkeys(BUDGET_BASE, 0), "spending_split": 1}
     ints.update(gov_spending=100, initial_wages=1000)
     assert assert_matches_scalar("budget", ints, grid) == {"clean", "clean (scalar)"}
+    # initial_wages and gov_spending cross 0, the open and the closed end of
+    # their declared bounds
+    edges = ParamGrid(
+        (Axis("initial_wages", -500.0, 500.0, 11), Axis("gov_spending", -100.0, 100.0, 5))
+    )
+    assert assert_matches_scalar("budget", BUDGET_BASE, edges) == {"clean", "rejected"}
+    rejected = [r.coords for r in sweep(BINDINGS["budget"], BUDGET_BASE, edges).records if r.flagged]
+    assert {c["initial_wages"] for c in rejected if c["gov_spending"] >= 0} == {
+        -500.0, -400.0, -300.0, -200.0, -100.0, 0.0
+    }
+    assert {c["gov_spending"] for c in rejected if c["initial_wages"] > 0} == {-100.0, -50.0}
     # a NaN base value, a bad mode and a negative horizon reject every cell
     for bad in ({"gov_spending": math.nan}, {"mode": "sideways"}, {"horizon": -1}):
         assert assert_matches_scalar("budget", {**BUDGET_BASE, **bad}, grid) == {"rejected"}

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -107,6 +109,16 @@ def test_zero_floor_is_unbounded():
 def test_wage_bound_validation():
     with pytest.raises(InvariantViolation):
         WageBound(-0.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_are_rejected(bad):
+    with pytest.raises(InvariantViolation):
+        WageBound(bad)
+    with pytest.raises(InvariantViolation):
+        CostStructure(10.0, 0.5, ((0.5, bad),))
+    with pytest.raises(InvariantViolation):
+        CostStructure(bad, 1.0)
 
 
 def test_profit_curve_grid_checks():
