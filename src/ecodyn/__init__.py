@@ -51,7 +51,7 @@ from .oracles import (
     grid_argmax,
     rk4_integrate,
 )
-from .sweep import Axis, ModelBinding, ParamGrid, SweepRecord, SweepResult
+from .sweep import Axis, ModelBinding, ParamGrid, SweepResult
 from .sweep import stability_region as sweep_stability_region
 from .sweep import sweep as run_sweep
 from .value_feedback import (
@@ -153,7 +153,6 @@ __all__ = [
     # sweeps
     "Axis",
     "ParamGrid",
-    "SweepRecord",
     "SweepResult",
     "ModelBinding",
     "run_sweep",

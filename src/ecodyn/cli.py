@@ -30,8 +30,8 @@ from . import value_feedback as vf
 from . import wage_profit as wp
 from .errors import DomainError, EcodynError, InvariantViolation, finite
 from .oracles import IntegrationSpec, rk4_integrate
-from .schema import integer, number, read
-from .sweep import BINDINGS, Axis, ParamGrid, check_base, cost_structure, stability_region, sweep
+from .schema import integer, is_number, number, read
+from .sweep import BINDINGS, Axis, ParamGrid, cost_structure, stability_region, sweep
 
 
 def _say(msg: str) -> None:
@@ -222,6 +222,12 @@ def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str,
     return fmt, out
 
 
+def _profit_derivatives(cs: wp.CostStructure, wage: float) -> tuple[float, float]:
+    """Both profit derivatives at wage; one that leaves the float range is a NumericalFailure."""
+    first = finite("first_derivative", lambda: wp.profit_derivatives(cs, wage)[0])
+    return first, finite("second_derivative", lambda: wp.profit_derivatives(cs, wage)[1])
+
+
 def _run_wage(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "wage")
@@ -239,10 +245,11 @@ def _run_wage(args: argparse.Namespace) -> int:
                 "diverges as the wage approaches zero)"
             )
         else:
-            _say(f"optimal wage: {best.wage!r}, net profit {best.net_profit!r}")
+            profit = finite("net_profit", lambda: best.net_profit)
+            _say(f"optimal wage: {best.wage!r}, net profit {profit!r}")
             sign_at = best.wage
     if sign_at is not None:
-        d1, d2 = wp.profit_derivatives(cs, sign_at)
+        d1, d2 = _profit_derivatives(cs, sign_at)
 
         def describe(d: float) -> str:
             return "negative" if d < 0 else "zero" if d == 0 else "positive"
@@ -254,10 +261,10 @@ def _run_wage(args: argparse.Namespace) -> int:
 
     if "grid" in sec:
         points = wp.profit_curve(cs, wages)
-        derivatives = [wp.profit_derivatives(cs, point.wage) for point in points]
+        derivatives = [_profit_derivatives(cs, point.wage) for point in points]
         columns = {
             "wage": [point.wage for point in points],
-            "net_profit": [point.net_profit for point in points],
+            "net_profit": [finite("net_profit", lambda: point.net_profit) for point in points],
             "first_derivative": [d1 for d1, _ in derivatives],
             "second_derivative": [d2 for _, d2 in derivatives],
         }
@@ -289,8 +296,8 @@ def _run_value(args: argparse.Namespace) -> int:
         if not isinstance(probe_sec, dict):
             raise InvariantViolation("'probe' must be an object")
         exponents = probe_sec.get("exponents")
-        if not isinstance(exponents, list) or not exponents:
-            raise InvariantViolation("'probe' needs a non-empty 'exponents' list")
+        if not isinstance(exponents, list) or not exponents or not all(map(is_number, exponents)):
+            raise InvariantViolation("'probe' needs a non-empty 'exponents' list of numbers")
         result = vf.limit_probe(
             number(probe_sec, "true_value"), [float(b) for b in exponents]
         )
@@ -454,7 +461,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
             f"'model' must be one of {sorted(BINDINGS)}, got {model!r}"
         )
     base = _section(sec, "base", {})
-    check_base(BINDINGS[model], base)
     axes_spec = sec.get("axes")
     if not isinstance(axes_spec, list) or not axes_spec:
         raise InvariantViolation("'axes' must be a non-empty list")

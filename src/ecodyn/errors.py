@@ -31,10 +31,11 @@ class NumericalFailure(EcodynError, ArithmeticError):
 
 
 def finite(name: str, compute: Callable[[], float]) -> float:
-    """Run compute, turning overflow or a non-finite result into a NumericalFailure."""
+    """Run compute, turning overflow (a division by an underflowed zero
+    included) or a non-finite result into a NumericalFailure."""
     try:
         value = compute()
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise NumericalFailure(f"{name} overflows the float range") from None
     if not math.isfinite(value):
         raise NumericalFailure(f"{name} is not finite: {value!r}")

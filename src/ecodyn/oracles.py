@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import DomainError, InvariantViolation, NumericalFailure
-from .schema import POSITIVE, bounded, check_fields
+from .schema import FINITE, POSITIVE, bounded, check_fields
 
 Rhs = Callable[[float, float], float]
 Scalar = Callable[[float], float]
@@ -24,12 +24,13 @@ DEFAULT_DIFF_STEP = 1e-5
 class IntegrationSpec:
     """Fixed-step initial value problem on [x_start, x_end]."""
 
-    x_start: float
-    x_end: float
+    x_start: float = bounded(FINITE)
+    x_end: float = bounded(FINITE)
     steps: int
     rhs: Rhs
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.steps < 1:
             raise InvariantViolation(f"steps must be >= 1, got {self.steps}")
         if not self.x_start < self.x_end:

@@ -38,6 +38,7 @@ class Bound(NamedTuple):
 UNIT = Bound(0.0, 1.0, "must lie in [0, 1]")
 NONNEG = Bound(0.0, sys.float_info.max, "must be finite and >= 0")
 POSITIVE = Bound(math.nextafter(0.0, 1.0), sys.float_info.max, "must be finite and > 0")
+FINITE = Bound(-sys.float_info.max, sys.float_info.max, "must be finite")
 
 
 def bounded(bound: Bound, default: Any = MISSING) -> Any:
@@ -63,8 +64,11 @@ def check_fields(obj: Any) -> None:
             raise InvariantViolation(f"{name} {text}, got {value}")
 
 
-def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def is_number(v: Any) -> bool:
+    """True for a float, or an int a float can hold; booleans are not numbers."""
+    return isinstance(v, float) or (
+        isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+    )
 
 
 def number(section: Mapping[str, Any], key: str, default: Any = MISSING) -> float:
@@ -74,7 +78,7 @@ def number(section: Mapping[str, Any], key: str, default: Any = MISSING) -> floa
             raise InvariantViolation(f"missing numeric key {key!r}")
         return default
     v = section[key]
-    if not _is_number(v):
+    if not is_number(v):
         raise InvariantViolation(f"key {key!r} must be a number, got {v!r}")
     return float(v)
 
@@ -95,7 +99,7 @@ def factor_pairs(section: Mapping[str, Any], key: str) -> tuple[tuple[float, flo
     """section[key] as (weight, value) pairs of numbers, () when absent."""
     pairs = section.get(key, ())
     if not isinstance(pairs, (list, tuple)) or not all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_number, pair))
+        isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_number, pair))
         for pair in pairs
     ):
         raise InvariantViolation(f"{key!r} must be a list of [weight, value] number pairs")

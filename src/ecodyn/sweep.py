@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -87,24 +86,6 @@ class ParamGrid:
             outer *= a.points
         return columns
 
-    def coords(self) -> list[dict[str, float]]:
-        names = [a.name for a in self.axes]
-        rows = zip(*(c.tolist() for c in self.columns().values()))
-        return [dict(zip(names, values)) for values in rows]
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid cell: coordinates, model outputs, and the rejection flag.
-
-    Flagged cells carry empty outputs and the rejection reason in note.
-    """
-
-    coords: dict[str, float]
-    outputs: dict[str, Any]
-    flagged: bool
-    note: str = ""
-
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -119,19 +100,6 @@ class SweepResult:
     flagged: list[bool]
     notes: list[str]
     metadata: dict[str, Any]
-
-    @cached_property
-    def records(self) -> list[SweepRecord]:
-        """The same results as one record per cell."""
-        records = []
-        for k, flagged in enumerate(self.flagged):
-            coords = {name: col[k] for name, col in self.coords.items()}
-            if flagged:
-                records.append(SweepRecord(coords, {}, True, self.notes[k]))
-            else:
-                outputs = {name: col[k] for name, col in self.outputs.items()}
-                records.append(SweepRecord(coords, outputs, False))
-        return records
 
 
 # Output columns of a binding, plus the mask of cells the columns cannot
@@ -165,21 +133,10 @@ class ModelBinding:
     evaluate_columns: Callable[[dict[str, Any], int, tuple[str, ...]], EvaluatedColumns]
 
 
-def _float_columns(values: list[Any], cells: int) -> list[np.ndarray] | None:
-    """Parameter values as float columns, or None when one of them is not
-    a plain number and only the scalar path can judge it."""
-    columns = []
-    for value in values:
-        if isinstance(value, np.ndarray):
-            columns.append(value)
-        elif type(value) in (int, float):
-            try:
-                columns.append(np.full(cells, float(value)))
-            except OverflowError:
-                return None
-        else:
-            return None
-    return columns
+def _float_columns(values: list[Any], cells: int) -> list[np.ndarray]:
+    """Parameter values as float columns; axes already are columns, and
+    check_binding has let only numbers within the float range through."""
+    return [v if isinstance(v, np.ndarray) else np.full(cells, float(v)) for v in values]
 
 
 def _unevaluated(cells: int, outputs: tuple[str, ...]) -> EvaluatedColumns:
@@ -228,10 +185,7 @@ def _wage_columns(
         margin = wp.gross_margin(cs)
     except EcodynError:
         return _unevaluated(cells, outputs)
-    operands = _float_columns([margin, params["wage"], cs.labor_weight], cells)
-    if operands is None:
-        return _unevaluated(cells, outputs)
-    margin, wage, labor_weight = operands
+    margin, wage, labor_weight = _float_columns([margin, params["wage"], cs.labor_weight], cells)
     net_profit = wp._profit_ratio(margin, wage, labor_weight)
     redo = ~(wage > 0) | ~np.isfinite(net_profit)
     return {"net_profit": net_profit}, redo
@@ -249,8 +203,6 @@ def _value_columns(
 ) -> EvaluatedColumns:
     names = ("exponent", "true_value", "homog_coeff")
     operands = _float_columns([params[n] for n in names if n in params], cells)
-    if operands is None:
-        return _unevaluated(cells, outputs)
     exponent, x = operands[:2]
     coeff = operands[2] if len(operands) == 3 else vf._default_coeff(exponent)
     redo = (exponent == 1.0) | ~(x > 0.0)
@@ -264,7 +216,7 @@ BUDGET_PARAMS = tuple(field.name for field in fields(bd.BudgetParams))
 
 
 def _horizon(params: dict[str, Any]) -> int:
-    return int(params.get("horizon", 10))
+    return params.get("horizon", 10)
 
 
 def _eval_budget(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
@@ -284,9 +236,9 @@ def _budget_columns(
     params: dict[str, Any], cells: int, outputs: tuple[str, ...]
 ) -> EvaluatedColumns:
     mode = params.get("mode", "direct")
-    operands = _float_columns([params[name] for name in BUDGET_PARAMS], cells)
-    if operands is None or mode not in bd.MODES:
+    if mode not in bd.MODES:
         return _unevaluated(cells, outputs)
+    operands = _float_columns([params[name] for name in BUDGET_PARAMS], cells)
     t, s, p, i, f, g, w0 = operands
     coeffs = bd._coefficients(t, s, p, i, f, g)
     pole = coeffs.pole_in_mode(mode)
@@ -341,9 +293,15 @@ BINDINGS: dict[str, ModelBinding] = {
 
 
 def check_binding(
-    binding: ModelBinding, base: dict[str, Any], grid: ParamGrid
+    binding: ModelBinding, base: Mapping[str, Any], grid: ParamGrid
 ) -> None:
-    """Reject bad sweep setups before any cell is evaluated."""
+    """Reject bad sweep setups before any cell is evaluated.
+
+    Axes must be ones the model can sweep, every required parameter must
+    be in base or on an axis, and base values must have the type the
+    single-run subcommands read. Values are not converted, and values out
+    of range are left for the cells to flag.
+    """
     for axis in grid.axes:
         if axis.name not in binding.allowed_axes:
             raise InvariantViolation(
@@ -356,12 +314,6 @@ def check_binding(
         raise InvariantViolation(
             f"model {binding.model!r} is missing parameters {missing}"
         )
-
-
-def check_base(binding: ModelBinding, base: Mapping[str, Any]) -> None:
-    """Reject base values of the wrong type, as the single-run subcommands
-    read them. Values are not converted, and values out of range are left
-    for the cells to flag; sweep() itself does not call this."""
     readers = {**dict.fromkeys(binding.required, number), **binding.optional}
     for key, read_value in readers.items():
         if key in base:

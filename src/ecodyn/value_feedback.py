@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from .errors import DomainError, SingularExponent
-from .schema import NONNEG, bounded, check_fields
+from .errors import DomainError, SingularExponent, finite
+from .schema import FINITE, NONNEG, bounded, check_fields
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,11 @@ class MarketValueSolution:
     value yields a valid solution of the same equation.
     """
 
-    exponent: float
-    homog_coeff: float
+    exponent: float = bounded(FINITE)
+    homog_coeff: float = bounded(FINITE)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.exponent == 1:
             raise SingularExponent(
                 "exponent 1 has a logarithmic solution, see singular_market_value"
@@ -197,9 +199,10 @@ def limit_probe(true_value: float, exponents: list[float]) -> LimitProbeResult:
 
     For true values above 1 the gap shrinks toward zero as the exponent
     heads to negative infinity; below 1 the power term takes over and the
-    gap grows instead, which the ``divergent`` flag reports.
+    gap grows instead, which the ``divergent`` flag reports. A gap that
+    overflows or is not finite raises NumericalFailure.
     """
     if true_value <= 0:
         raise DomainError(f"true value must be > 0, got {true_value}")
-    points = tuple((b, market_gap(b, true_value)) for b in exponents)
+    points = tuple((b, finite("gap", partial(market_gap, b, true_value))) for b in exponents)
     return LimitProbeResult(points, divergent=true_value < 1.0)

@@ -288,15 +288,17 @@ BUDGET = {
     "initial_wages": 1000.0,
 }
 TAX_AXIS = [{"name": "tax_rate", "min": 0.0, "max": 1.0, "points": 3}]
+WAGE = {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": [[0.5, 4.0]]}
 
 
 def _budget_sweep(**base):
     return {"sweep": {"model": "budget", "base": {**BUDGET, **base}, "axes": TAX_AXIS}}
 
 
-# Each of these crashed with a traceback or was silently accepted before the
-# sweep base was checked against the parameter declarations; mistyped values
-# are config errors (exit 1), overflow is a numerical failure (exit 2).
+# Each of these ends in one error line, never a traceback, a silently
+# converted value or a non-finite number in the output: mistyped values and
+# integers beyond the float range are config errors (exit 1), overflow and
+# non-finite results are numerical failures (exit 2).
 BAD_CONFIGS = {
     "sweep-string-value": (_budget_sweep(private_fraction="high"), 1, "must be a number"),
     "sweep-boolean-value": (_budget_sweep(private_fraction=True), 1, "must be a number"),
@@ -339,6 +341,51 @@ BAD_CONFIGS = {
         {"value": {"exponent": 400, "grid": {"min": 1, "max": 10, "points": 5}}},
         2,
         "market_value overflows the float range",
+    ),
+    "budget-int-beyond-float-range": (
+        {"budget": {**BUDGET, "gov_spending": 10**400}},
+        1,
+        "'gov_spending' must be a number",
+    ),
+    "wage-floor-net-profit-overflows": (
+        {"wage": {**WAGE, "floor": 1e-310}},
+        2,
+        "net_profit is not finite: inf",
+    ),
+    "wage-factor-beyond-float-range": (
+        {"wage": {**WAGE, "other_factors": [[0.5, 10**400]]}},
+        1,
+        "'other_factors' must be a list",
+    ),
+    "probe-string-exponent": (
+        {"value": {"probe": {"true_value": 2.0, "exponents": ["abc"]}}},
+        1,
+        "'exponents' list of numbers",
+    ),
+    "probe-boolean-exponent": (
+        {"value": {"probe": {"true_value": 2.0, "exponents": [True]}}},
+        1,
+        "'exponents' list of numbers",
+    ),
+    "probe-gap-overflow": (
+        {"value": {"probe": {"true_value": 0.5, "exponents": [-2000]}}},
+        2,
+        "gap overflows the float range",
+    ),
+    "probe-nan-exponent": (
+        {"value": {"probe": {"true_value": 2.0, "exponents": [math.nan, -2]}}},
+        2,
+        "gap is not finite: nan",
+    ),
+    "wage-grid-squared-wage-underflows": (
+        {"wage": {**WAGE, "grid": {"min": 1e-200, "max": 1.0, "points": 3}}},
+        2,
+        "first_derivative overflows the float range",
+    ),
+    "wage-grid-second-derivative-overflows": (
+        {"wage": {**WAGE, "grid": {"min": 1e-103, "max": 1.0, "points": 3}}},
+        2,
+        "second_derivative is not finite: inf",
     ),
 }
 
@@ -429,8 +476,13 @@ def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
     result = sweep(BINDINGS["value"], base, grid)
     assert 0 < result.metadata["flagged"] < grid.cells
     columns = ["exponent", "true_value", "market_value", "gap", "flagged"]
-    rows = [{**r.coords, **r.outputs, "flagged": r.flagged} for r in result.records]
-    json_rows = [{**row, "note": r.note} for row, r in zip(rows, result.records)]
+    rows = []
+    for k, flagged in enumerate(result.flagged):
+        row = {name: column[k] for name, column in result.coords.items()}
+        if not flagged:
+            row.update({name: column[k] for name, column in result.outputs.items()})
+        rows.append({**row, "flagged": flagged})
+    json_rows = [{**row, "note": note} for row, note in zip(rows, result.notes)]
     rc, out, _ = run(["sweep", "--config", str(path)], capsys)
     assert rc == 0 and out == _reference_csv(columns, rows)
     rc, out, _ = run(["sweep", "--config", str(path), "--format", "json"], capsys)

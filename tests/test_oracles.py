@@ -63,6 +63,12 @@ def test_integration_spec_validation():
         IntegrationSpec(2.0, 1.0, 10, lambda x, y: y)
 
 
+@pytest.mark.parametrize("ends", [(0.0, math.inf), (-math.inf, 1.0)])
+def test_integration_spec_rejects_non_finite_ends(ends):
+    with pytest.raises(InvariantViolation, match="must be finite"):
+        IntegrationSpec(*ends, 10, lambda x, y: y)
+
+
 def test_diff_spec_validation():
     with pytest.raises(InvariantViolation):
         DiffSpec(h=0.0)

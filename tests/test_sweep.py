@@ -50,14 +50,10 @@ def test_axis_validation():
 def test_grid_is_row_major():
     grid = ParamGrid((Axis("a", 0.0, 1.0, 2), Axis("b", 0.0, 2.0, 3)))
     assert grid.cells == 6
-    assert grid.coords() == [
-        {"a": 0.0, "b": 0.0},
-        {"a": 0.0, "b": 1.0},
-        {"a": 0.0, "b": 2.0},
-        {"a": 1.0, "b": 0.0},
-        {"a": 1.0, "b": 1.0},
-        {"a": 1.0, "b": 2.0},
-    ]
+    columns = grid.columns()
+    assert list(columns) == ["a", "b"]
+    assert columns["a"].tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert columns["b"].tolist() == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
 
 
 def test_grid_validation():
@@ -71,10 +67,10 @@ def test_wage_sweep_values():
     base = {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": [[0.5, 4.0]]}
     grid = ParamGrid((Axis("wage", 1.0, 4.0, 4),))
     result = sweep(BINDINGS["wage"], base, grid)
-    assert [r.coords["wage"] for r in result.records] == [1.0, 2.0, 3.0, 4.0]
-    assert result.records[0].outputs["net_profit"] == 7.5
-    assert result.records[1].outputs["net_profit"] == 3.5
-    assert not any(r.flagged for r in result.records)
+    assert result.coords == {"wage": [1.0, 2.0, 3.0, 4.0]}
+    assert result.outputs["net_profit"][0] == 7.5
+    assert result.outputs["net_profit"][1] == 3.5
+    assert not any(result.flagged)
     # no wall-clock or scheduling fields: the same sweep gives the same metadata
     assert result.metadata == {
         "model": "wage",
@@ -89,7 +85,7 @@ def test_wage_sweep_is_strictly_decreasing():
     base = {"max_market_price": 10.0, "labor_weight": 1.0}
     grid = ParamGrid((Axis("wage", 1.0, 10.0, 10),))
     result = sweep(BINDINGS["wage"], base, grid)
-    profits = [r.outputs["net_profit"] for r in result.records]
+    profits = result.outputs["net_profit"]
     assert all(a > b for a, b in zip(profits, profits[1:]))
     assert profits[0] == 9.0  # 10/1 - 1
     assert profits[-1] == 0.0  # 10/10 - 1
@@ -98,7 +94,7 @@ def test_wage_sweep_is_strictly_decreasing():
 def test_budget_pole_is_affine_in_tax_rate():
     grid = ParamGrid((Axis("tax_rate", 0.0, 1.0, 11),))
     result = sweep(BINDINGS["budget"], BUDGET_BASE, grid)
-    poles = [r.outputs["pole"] for r in result.records]
+    poles = result.outputs["pole"]
     # pole(t) = t*(1 + leverage) - leverage with leverage 0.03 here
     assert poles[0] == pytest.approx(-0.03, abs=1e-12)
     assert poles[5] == pytest.approx(0.485, abs=1e-12)
@@ -111,28 +107,25 @@ def test_single_point_sweep_equals_direct_call():
 
     grid = ParamGrid((Axis("tax_rate", 0.3, 0.3, 1),))
     result = sweep(BINDINGS["budget"], BUDGET_BASE, grid)
-    assert len(result.records) == 1
+    assert len(result.flagged) == 1
     direct = coefficients(BudgetParams(**BUDGET_BASE))
-    assert result.records[0].outputs["pole"] == direct.pole
+    assert result.outputs["pole"][0] == direct.pole
 
 
 def test_value_sweep_flags_singular_cell():
     grid = ParamGrid((Axis("exponent", 0.0, 2.0, 3),))
     result = sweep(BINDINGS["value"], {"true_value": 2.0}, grid)
-    flags = [r.flagged for r in result.records]
-    assert flags == [False, True, False]
-    bad = result.records[1]
-    assert bad.outputs == {}
-    assert bad.note != ""
+    assert result.flagged == [False, True, False]
+    assert [column[1] for column in result.outputs.values()] == [None, None]
+    assert result.notes[1] != ""
     assert result.metadata["flagged"] == 1
 
 
 def test_budget_sweep_flags_invalid_params():
     grid = ParamGrid((Axis("invest_share", -0.5, 0.5, 3),))
     result = sweep(BINDINGS["budget"], BUDGET_BASE, grid)
-    assert [r.flagged for r in result.records] == [True, False, False]
-    clean = result.records[1]
-    assert clean.outputs["pole"] == pytest.approx(0.195, abs=1e-12)
+    assert result.flagged == [True, False, False]
+    assert result.outputs["pole"][1] == pytest.approx(0.195, abs=1e-12)
 
 
 def test_binding_rejects_unknown_axis():
@@ -148,6 +141,21 @@ def test_binding_reports_missing_params():
     assert "max_market_price" in str(err.value)
 
 
+def test_sweep_type_checks_its_base():
+    # mistyped base values are rejected before any cell runs, as in the CLI;
+    # out-of-range values of the right type stay flagged cells
+    grid = ParamGrid((Axis("tax_rate", 0.0, 1.0, 3),))
+    for value in ("high", True):
+        base = {**BUDGET_BASE, "private_fraction": value}
+        with pytest.raises(InvariantViolation, match="'private_fraction' must be a number"):
+            sweep(BINDINGS["budget"], base, grid)
+    grid = ParamGrid((*grid.axes, Axis("invest_share", 0.0, 1.0, 2)))
+    with pytest.raises(InvariantViolation, match="must be a number"):
+        stability_region({**BUDGET_BASE, "gov_spending": "100"}, grid)
+    result = sweep(BINDINGS["budget"], {**BUDGET_BASE, "private_fraction": 2.0}, grid)
+    assert all(result.flagged)
+
+
 def test_stability_region():
     grid = ParamGrid(
         (Axis("tax_rate", 0.0, 1.0, 3), Axis("invest_share", 0.0, 2.0, 3))
@@ -155,22 +163,26 @@ def test_stability_region():
     result = stability_region(BUDGET_BASE, grid)
     assert result.metadata["kind"] == "stability_region"
     assert result.metadata["mode"] == "direct"
-    first = result.records[0]
+    pole, stable = result.outputs["pole"], result.outputs["stable"]
     # tax_rate 0, invest_share 0: only the private loop drains the pool
-    assert first.outputs["pole"] == pytest.approx(-0.15, abs=1e-12)
-    assert first.outputs["stable"] is True
-    corner = result.records[-1]
-    assert corner.coords == {"tax_rate": 1.0, "invest_share": 2.0}
+    assert pole[0] == pytest.approx(-0.15, abs=1e-12)
+    assert stable[0] is True
+    assert {name: column[-1] for name, column in result.coords.items()} == {
+        "tax_rate": 1.0,
+        "invest_share": 2.0,
+    }
     # full taxation pins the pole exactly onto the unit circle: marginal,
     # which the stable mask counts as inside
-    assert corner.outputs["pole"] == 1.0
-    assert corner.outputs["stable"] is True
+    assert pole[-1] == 1.0
+    assert stable[-1] is True
     # heavy investment with no taxation pushes the pole above 1
-    hot = result.records[2]
-    assert hot.coords == {"tax_rate": 0.0, "invest_share": 2.0}
-    assert hot.outputs["pole"] == pytest.approx(2.25, abs=1e-12)
-    assert hot.outputs["stable"] is False
-    assert set(first.outputs) == {"pole", "stable"}
+    assert {name: column[2] for name, column in result.coords.items()} == {
+        "tax_rate": 0.0,
+        "invest_share": 2.0,
+    }
+    assert pole[2] == pytest.approx(2.25, abs=1e-12)
+    assert stable[2] is False
+    assert set(result.outputs) == {"pole", "stable"}
 
 
 def test_stability_region_needs_two_axes():
@@ -183,9 +195,9 @@ def test_example_base_region_is_fully_stable():
         (Axis("tax_rate", 0.0, 1.0, 21), Axis("private_fraction", 0.0, 1.0, 21))
     )
     result = stability_region(BUDGET_BASE, grid)
-    assert len(result.records) == 441
-    assert all(r.outputs["stable"] for r in result.records)
-    assert all(abs(r.outputs["pole"]) <= 1.0 for r in result.records)
+    assert len(result.flagged) == 441
+    assert all(result.outputs["stable"])
+    assert all(abs(pole) <= 1.0 for pole in result.outputs["pole"])
 
 
 def test_untaxed_investment_destabilizes_upward():
@@ -195,12 +207,10 @@ def test_untaxed_investment_destabilizes_upward():
     base = {**BUDGET_BASE, "tax_rate": 0.0}
     grid = ParamGrid((Axis("invest_share", 0.0, 5.0, 11),))
     result = sweep(BINDINGS["budget"], base, grid)
-    poles = [r.outputs["pole"] for r in result.records]
-    flags = [r.outputs["stable"] for r in result.records]
+    poles = result.outputs["pole"]
+    flags = result.outputs["stable"]
     threshold = 1.15 / 1.2  # pole(share) = 1.2*share - 0.15 crosses 1 here
-    for share, pole, stable in zip(
-        (r.coords["invest_share"] for r in result.records), poles, flags
-    ):
+    for share, pole, stable in zip(result.coords["invest_share"], poles, flags):
         assert pole == pytest.approx(1.2 * share - 0.15, abs=1e-12)
         assert stable == (share <= threshold)
     assert min(poles) > -1.0
@@ -212,8 +222,8 @@ def _stable_flag_flips(base, points=41):
         (Axis("tax_rate", 0.0, 1.0, points), Axis("private_fraction", 0.7, 0.7, 1))
     )
     result = stability_region(base, grid)
-    flags = [r.outputs["stable"] for r in result.records]
-    ts = [r.coords["tax_rate"] for r in result.records]
+    flags = result.outputs["stable"]
+    ts = result.coords["tax_rate"]
     return [
         (ts[i], ts[i + 1]) for i in range(len(flags) - 1) if flags[i] != flags[i + 1]
     ]
@@ -286,26 +296,30 @@ def assert_matches_scalar(model, base, grid, outputs=None):
     outputs = outputs or binding.outputs
     with np.errstate(all="ignore"):
         _, redo = binding.evaluate_columns({**base, **grid.columns()}, grid.cells, outputs)
-    assert [r.coords for r in result.records] == grid.coords()
+    assert result.coords == {name: column.tolist() for name, column in grid.columns().items()}
     kinds = set()
-    for rec, scalar_path in zip(result.records, redo):
+    for k, scalar_path in enumerate(redo):
+        coords = {name: column[k] for name, column in result.coords.items()}
+        cell_outputs = {name: column[k] for name, column in result.outputs.items()}
+        flagged, note = result.flagged[k], result.notes[k]
         try:
-            values = REFERENCES[model]({**base, **rec.coords}, outputs)
+            values = REFERENCES[model]({**base, **coords}, outputs)
         except EcodynError as exc:
-            assert rec.flagged and rec.note == str(exc) and rec.outputs == {}
+            assert flagged and note == str(exc)
+            assert all(value is None for value in cell_outputs.values())
             kinds.add("rejected")
             continue
         expected = {name: values[name] for name in outputs}
         bad = [n for n, v in expected.items() if isinstance(v, float) and not math.isfinite(v)]
         if bad:
-            assert rec.flagged and rec.note == f"{bad[0]} is not finite: {expected[bad[0]]!r}"
+            assert flagged and note == f"{bad[0]} is not finite: {expected[bad[0]]!r}"
             kinds.add("non-finite")
             continue
-        assert not rec.flagged and rec.note == ""
-        assert rec.outputs == expected
-        assert repr(rec.outputs) == repr(expected)
+        assert not flagged and note == ""
+        assert cell_outputs == expected
+        assert repr(cell_outputs) == repr(expected)
         kinds.add("clean (scalar)" if scalar_path else "clean")
-    assert result.metadata["flagged"] == sum(r.flagged for r in result.records)
+    assert result.metadata["flagged"] == sum(result.flagged)
     return kinds
 
 
@@ -338,11 +352,18 @@ def test_columnar_budget_sweep_matches_scalar_model():
         (Axis("initial_wages", -500.0, 500.0, 11), Axis("gov_spending", -100.0, 100.0, 5))
     )
     assert assert_matches_scalar("budget", BUDGET_BASE, edges) == {"clean", "rejected"}
-    rejected = [r.coords for r in sweep(BINDINGS["budget"], BUDGET_BASE, edges).records if r.flagged]
-    assert {c["initial_wages"] for c in rejected if c["gov_spending"] >= 0} == {
+    result = sweep(BINDINGS["budget"], BUDGET_BASE, edges)
+    rejected = [
+        (wages, spending)
+        for wages, spending, flagged in zip(
+            result.coords["initial_wages"], result.coords["gov_spending"], result.flagged
+        )
+        if flagged
+    ]
+    assert {wages for wages, spending in rejected if spending >= 0} == {
         -500.0, -400.0, -300.0, -200.0, -100.0, 0.0
     }
-    assert {c["gov_spending"] for c in rejected if c["initial_wages"] > 0} == {-100.0, -50.0}
+    assert {spending for wages, spending in rejected if wages > 0} == {-100.0, -50.0}
     # a NaN base value, a bad mode and a negative horizon reject every cell
     for bad in ({"gov_spending": math.nan}, {"mode": "sideways"}, {"horizon": -1}):
         assert assert_matches_scalar("budget", {**BUDGET_BASE, **bad}, grid) == {"rejected"}
@@ -377,20 +398,21 @@ def test_overflowing_cells_are_flagged_not_raised():
     base = {**BUDGET_BASE, "mode": "incremental", "horizon": 1000}
     grid = ParamGrid((Axis("invest_share", 0.0, 50.0, 11),))
     result = sweep(BINDINGS["budget"], base, grid)
-    flagged = [r for r in result.records if r.flagged]
-    assert flagged and len(flagged) < len(result.records)
-    assert all(r.note == "final_pool overflows the float range" for r in flagged)
-    assert all(math.isfinite(r.outputs["final_pool"]) for r in result.records if not r.flagged)
+    flagged_notes = [note for note, flagged in zip(result.notes, result.flagged) if flagged]
+    assert flagged_notes and len(flagged_notes) < len(result.flagged)
+    assert all(note == "final_pool overflows the float range" for note in flagged_notes)
+    clean = [v for v, flagged in zip(result.outputs["final_pool"], result.flagged) if not flagged]
+    assert all(map(math.isfinite, clean))
     # a pole that is itself infinite is flagged before final_pool is tried
     base = {**BUDGET_BASE, "foreign_multiplier": 1e300}
     grid = ParamGrid((Axis("invest_share", 0.0, 1e10, 3),))
-    notes = [r.note for r in sweep(BINDINGS["budget"], base, grid).records]
+    notes = sweep(BINDINGS["budget"], base, grid).notes
     assert notes == ["", "pole is not finite: inf", "pole is not finite: inf"]
     # the value model's power term overflows the same way
     grid = ParamGrid((Axis("exponent", 100.0, 500.0, 4),))
-    records = sweep(BINDINGS["value"], {"true_value": 10.0}, grid).records
-    assert [r.flagged for r in records] == [False, False, True, True]
-    assert records[-1].note == "market_value overflows the float range"
+    result = sweep(BINDINGS["value"], {"true_value": 10.0}, grid)
+    assert result.flagged == [False, False, True, True]
+    assert result.notes[-1] == "market_value overflows the float range"
 
 
 def test_sweep_rejects_unknown_output():

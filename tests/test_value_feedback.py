@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ecodyn.errors import DomainError, InvariantViolation, SingularExponent
+from ecodyn.errors import DomainError, InvariantViolation, NumericalFailure, SingularExponent
 from ecodyn.oracles import central_diff_first
 from ecodyn.value_feedback import (
     BalancedFeedback,
@@ -45,6 +45,12 @@ def test_exponent_one_is_singular():
         MarketValueSolution.with_default_coeff(1.0)
     with pytest.raises(SingularExponent):
         market_gap(1.0, 2.0)
+
+
+@pytest.mark.parametrize("fields", [(math.nan, 1.0), (-2.0, math.nan), (-2.0, math.inf)])
+def test_solution_rejects_non_finite_fields(fields):
+    with pytest.raises(InvariantViolation, match="must be finite"):
+        MarketValueSolution(*fields)
 
 
 def test_default_coefficient():
@@ -162,6 +168,13 @@ def test_limit_probe_regimes():
     diverging = limit_probe(0.5, [-10.0, -100.0])
     gaps = [abs(g) for _, g in diverging.points]
     assert gaps[1] > gaps[0]
+
+
+def test_limit_probe_rejects_non_finite_gaps():
+    with pytest.raises(NumericalFailure, match="gap overflows the float range"):
+        limit_probe(0.5, [-2000.0])
+    with pytest.raises(NumericalFailure, match="gap is not finite: nan"):
+        limit_probe(2.0, [math.nan, -2.0])
 
 
 def test_premium_identity_known_case():
