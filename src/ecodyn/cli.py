@@ -24,6 +24,8 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import IO, Any, Callable, Iterator
 
+import numpy as np
+
 from . import __version__, audit
 from . import budget_dynamics as bd
 from . import value_feedback as vf
@@ -44,8 +46,10 @@ def _load_config(path: str) -> dict[str, Any]:
             cfg = json.load(fh)
     except OSError as exc:
         raise InvariantViolation(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvariantViolation(f"config {path!r} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # JSONDecodeError, undecodable UTF-8, or an integer literal too
+        # long for int() to convert
+        raise InvariantViolation(f"cannot parse config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvariantViolation(f"config {path!r} must hold a JSON object")
     return cfg
@@ -340,21 +344,23 @@ def _run_value(args: argparse.Namespace) -> int:
             sol = vf._solution(exponent, number(sec, "homog_coeff", None))
             curve = partial(vf.analytic_market_value, sol)
 
+        market = [finite("market_value", partial(curve, x)) for x in xs]
+        errors = [0.0] * len(xs)
+        # Every point beyond the anchor is one lane of a single RK4 call.
+        # The grid ascends from the anchor and the closed form has checked
+        # x > 0 at each point, so the right-hand side skips that check.
         anchor = xs[0]
-        y0 = finite("market_value", partial(curve, anchor))
-        market = []
-        errors = []
-        for x in xs:
-            y = finite("market_value", partial(curve, x))
-            if x == anchor:
-                err = 0.0
-            else:
-                spec = IntegrationSpec(
-                    anchor, x, steps, lambda t, u: vf.ode_rhs(exponent, t, u)
-                )
-                err = abs(rk4_integrate(spec, y0) - y) / max(1.0, abs(y))
-            market.append(y)
-            errors.append(err)
+        lanes = [i for i, x in enumerate(xs) if x != anchor]
+        if lanes:
+            spec = IntegrationSpec(
+                anchor,
+                np.array([xs[i] for i in lanes]),
+                steps,
+                lambda t, u: vf._ode_slope(exponent, t, u),
+            )
+            for i, got in zip(lanes, rk4_integrate(spec, market[0]).tolist()):
+                y = market[i]
+                errors[i] = abs(got - y) / max(1.0, abs(y))
         meta_exponent = exponent
 
     metadata = {

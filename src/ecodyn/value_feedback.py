@@ -89,9 +89,10 @@ class LimitProbeResult:
     divergent: bool
 
 
-# The closed-form arithmetic, written once. Both helpers take floats or
-# numpy arrays, so the sweep engine evaluates whole grids with exactly
-# these term groupings and its cells equal the scalar calls bit for bit.
+# The closed-form arithmetic, written once. The helpers take floats or
+# numpy arrays, so the sweep engine and the lockstep RK4 route evaluate
+# whole grids with exactly these term groupings, and their values equal
+# the scalar calls bit for bit.
 
 
 def _default_coeff(exponent):
@@ -101,6 +102,11 @@ def _default_coeff(exponent):
 def _power_law(homog_coeff, exponent, power, x):
     """homog_coeff * x**exponent + exponent/(exponent-1) * x, given power = x**exponent."""
     return homog_coeff * power + (exponent / (exponent - 1.0)) * x
+
+
+def _ode_slope(exponent, x, y):
+    """exponent * (y/x - 1), the governing equation's right-hand side, for x > 0."""
+    return exponent * (y / x) - exponent
 
 
 def exponent_from_gains(gains: FeedbackGains) -> float | BalancedFeedback:
@@ -119,7 +125,7 @@ def ode_rhs(exponent: float, x: float, y: float) -> float:
     """Right-hand side of the governing equation: exponent * (y/x - 1)."""
     if x <= 0:
         raise DomainError(f"true value must be > 0, got {x}")
-    return exponent * (y / x) - exponent
+    return _ode_slope(exponent, x, y)
 
 
 def analytic_market_value(sol: MarketValueSolution, x: float) -> float:

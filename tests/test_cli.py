@@ -295,6 +295,10 @@ def _budget_sweep(**base):
     return {"sweep": {"model": "budget", "base": {**BUDGET, **base}, "axes": TAX_AXIS}}
 
 
+# json.dumps cannot write an integer this long, so the test writes the
+# config with this string swapped for the digits.
+LONG_INT = "<integer of 5001 digits>"
+
 # Each of these ends in one error line, never a traceback, a silently
 # converted value or a non-finite number in the output: mistyped values and
 # integers beyond the float range are config errors (exit 1), overflow and
@@ -342,10 +346,26 @@ BAD_CONFIGS = {
         2,
         "market_value overflows the float range",
     ),
+    "value-rk4-overflow": (
+        {
+            "value": {
+                "exponent": -1e300,
+                "grid": {"min": 1.0, "max": 2.0, "points": 3},
+                "rk4_steps": 1,
+            }
+        },
+        2,
+        "non-finite RK4",
+    ),
     "budget-int-beyond-float-range": (
         {"budget": {**BUDGET, "gov_spending": 10**400}},
         1,
         "'gov_spending' must be a number",
+    ),
+    "budget-int-too-long-to-parse": (
+        {"budget": {**BUDGET, "gov_spending": LONG_INT}},
+        1,
+        "cannot parse config",
     ),
     "wage-floor-net-profit-overflows": (
         {"wage": {**WAGE, "floor": 1e-310}},
@@ -390,11 +410,12 @@ BAD_CONFIGS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", BAD_CONFIGS)
 def test_bad_configs_exit_with_one_error_line(tmp_path, capsys, name):
     cfg, code, message = BAD_CONFIGS[name]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg).replace(json.dumps(LONG_INT), "1" * 5001))
     rc, out, err = run([next(iter(cfg)), "--config", str(path)], capsys)
     assert rc == code
     assert out == ""

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,7 @@ from ecodyn.oracles import (
     grid_argmax,
     rk4_integrate,
 )
+from ecodyn.value_feedback import _ode_slope, ode_rhs
 
 
 def test_rk4_exponential():
@@ -52,6 +56,69 @@ def test_rk4_blowup_reports_failure():
     spec = IntegrationSpec(0.0, 2.0, 100, lambda x, y: y * y)
     with pytest.raises(NumericalFailure):
         rk4_integrate(spec, 1.0)
+
+
+@given(
+    st.floats(-5.0, 5.0).filter(lambda b: b != 1.0),
+    st.lists(st.floats(0.1, 10.0), min_size=2, max_size=12, unique=True),
+    st.integers(1, 50),
+)
+def test_rk4_lanes_equal_scalar_calls(exponent, points, steps):
+    # the lockstep route must reproduce each per-lane scalar call bit for bit
+    anchor, *ends = sorted(points)
+    y0 = 1.0 / anchor
+    lanes = rk4_integrate(IntegrationSpec(anchor, np.array(ends), steps, partial(_ode_slope, exponent)), y0)
+    scalar = [
+        rk4_integrate(IntegrationSpec(anchor, end, steps, partial(ode_rhs, exponent)), y0)
+        for end in ends
+    ]
+    assert lanes.tolist() == scalar
+
+
+def test_rk4_lanes_broadcast_y_start():
+    spec = IntegrationSpec(0.0, 1.0, 100, lambda x, y: y)
+    got = rk4_integrate(spec, np.array([1.0, -2.0, 0.5]))
+    assert got.tolist() == [rk4_integrate(spec, y0) for y0 in (1.0, -2.0, 0.5)]
+
+
+def test_rk4_failing_lane_is_named(recwarn):
+    # the field explodes past x=2.2, which only the lane ending at 3 reaches;
+    # its steps start at 0, 0.75, 1.5 and 2.25, the other lanes' below 2
+    def rhs(x, y):
+        return y * np.where(x > 2.2, 1e300, 1.0)
+
+    spec = IntegrationSpec(0.0, np.array([1.0, 3.0, 2.0]), 4, rhs)
+    with pytest.raises(NumericalFailure, match=r"non-finite RK4 state after step 3 at x=2\.25$"):
+        rk4_integrate(spec, 1.0)
+    assert len(recwarn) == 0  # overflow inside the lanes is not reported twice
+
+
+@pytest.mark.parametrize(
+    "x_start, ends, message",
+    [
+        (0.0, [1.0, math.nan], "x_end must be finite, got nan"),
+        (0.0, [math.inf, 1.0], "x_end must be finite, got inf"),
+        (1.0, [2.0, 1.0], r"x_start must be < x_end, got \[1.0, 1.0\]"),
+        (1.0, [0.5, 2.0], r"x_start must be < x_end, got \[1.0, 0.5\]"),
+    ],
+)
+def test_integration_spec_rejects_bad_array_ends(x_start, ends, message):
+    with pytest.raises(InvariantViolation, match=message):
+        IntegrationSpec(x_start, np.array(ends), 10, lambda x, y: y)
+
+
+def test_array_spec_survives_replace():
+    spec = IntegrationSpec(0.0, np.array([1.0, 2.0]), 10, lambda x, y: y)
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return y
+
+    replaced = dataclasses.replace(spec, rhs=counted)
+    assert replaced.x_end is spec.x_end
+    assert rk4_integrate(replaced, 1.0).tolist() == rk4_integrate(spec, 1.0).tolist()
+    assert len(calls) == 4 * 10
 
 
 def test_integration_spec_validation():
