@@ -23,7 +23,8 @@ from . import budget_dynamics as bd
 from . import oracles
 from . import value_feedback as vf
 from . import wage_profit as wp
-from .errors import InvariantViolation
+from .errors import DomainError, InvariantViolation
+from .schema import admitted
 
 DEFAULT_SEED = 1729
 
@@ -84,16 +85,32 @@ def _random_cost_structure(rng: random.Random) -> wp.CostStructure:
     return wp.CostStructure(price, labor, factors)
 
 
+# the uniform range of each BudgetParams field in random draws, in field order
+_BUDGET_RANGES = ((0.0, 1.0),) * 5 + ((0.0, 1000.0), (1.0, 10000.0))
+_DRAW_LOW = np.array([a for a, _ in _BUDGET_RANGES])
+_DRAW_SPAN = np.array([b - a for a, b in _BUDGET_RANGES])
+
+
 def _random_budget(rng: random.Random) -> bd.BudgetParams:
-    return bd.BudgetParams(
-        tax_rate=rng.uniform(0.0, 1.0),
-        spending_split=rng.uniform(0.0, 1.0),
-        private_fraction=rng.uniform(0.0, 1.0),
-        invest_share=rng.uniform(0.0, 1.0),
-        foreign_multiplier=rng.uniform(0.0, 1.0),
-        gov_spending=rng.uniform(0.0, 1000.0),
-        initial_wages=rng.uniform(1.0, 10000.0),
-    )
+    return bd.BudgetParams(*(rng.uniform(a, b) for a, b in _BUDGET_RANGES))
+
+
+def _random_budgets(rng: random.Random, n: int) -> np.ndarray:
+    """n draws of _random_budget as the 7 columns of BudgetParams.
+
+    rng.uniform(a, b) is a + (b - a) * rng.random(), and numpy's + and *
+    round as Python's do, so row j equals the j-th _random_budget call
+    bit for bit and the stream ends where those n calls leave it. A row
+    BudgetParams would reject raises instead of being dropped.
+    """
+    draws = np.fromiter(iter(rng.random, None), float, count=7 * n).reshape(n, 7)
+    rows = _DRAW_LOW + _DRAW_SPAN * draws
+    columns = rows.T
+    admits = admitted(bd.BudgetParams, columns)
+    if not admits.all():
+        row = rows[admits.argmin()].tolist()
+        raise InvariantViolation(f"random draw outside the BudgetParams bounds: {row}")
+    return columns
 
 
 def _check_wage_grid_argmax(tol: float, rng: random.Random):
@@ -101,8 +118,13 @@ def _check_wage_grid_argmax(tol: float, rng: random.Random):
     for _ in range(100):
         cs = _random_cost_structure(rng)
         floor = rng.uniform(0.1, 5.0)
-        grid = [float(v) for v in np.linspace(floor, 10.0 * floor, 1000)]
-        found, _ = oracles.grid_argmax(lambda w: wp.net_profit(cs, w), grid)
+        grid = np.linspace(floor, 10.0 * floor, 1000)
+        # net_profit's wage check, for the whole grid
+        lowest = grid.min()
+        if not lowest > 0.0:
+            raise DomainError(f"wage must be > 0, got {lowest}")
+        margin = wp.gross_margin(cs)
+        found, _ = oracles.grid_argmax(lambda w: wp._profit_ratio(margin, w, cs.labor_weight), grid)
         best = wp.optimal_wage(cs, wp.WageBound(floor))
         assert isinstance(best, wp.ProfitPoint)
         if found != best.wage:
@@ -220,22 +242,30 @@ def _check_fixed_point_identity(tol: float, rng: random.Random):
     return worst <= tol, worst, f"max fixed-point residual over 500 draws: {worst:.3e}"
 
 
+def _bounded_leverage_budgets(rng: random.Random, n: int) -> np.ndarray:
+    """The first n _random_budget draws with 1 + leverage > 0, as columns.
+
+    Attempts are drawn a block at a time, each block as large as the
+    number still missing. The loop ends on a block that was accepted
+    whole, so the stream ends where the draw-by-draw loop leaves it.
+    """
+    accepted = np.empty((7, 0))
+    while accepted.shape[1] < n:
+        block = _random_budgets(rng, n - accepted.shape[1])
+        _, s, p, i, f, _, _ = block
+        keep = 1.0 + bd._leverage(s, p, i, f) > 0.0
+        accepted = np.concatenate([accepted, block[:, keep]], axis=1)
+    return accepted
+
+
 def _check_pole_range_equivalence(tol: float, rng: random.Random):
-    accepted = 0
-    mismatches = 0
-    while accepted < 10000:
-        params = _random_budget(rng)
-        lev = bd.tax_leverage(params)
-        if 1.0 + lev <= 0.0:
-            continue
-        accepted += 1
-        rng_range = bd.taxation_range(params)
-        assert isinstance(rng_range, tuple)
-        lo, hi = rng_range
-        in_range = lo <= params.tax_rate <= hi
-        stable = abs(bd.coefficients(params).pole) <= 1.0
-        if in_range != stable:
-            mismatches += 1
+    t, s, p, i, f, g, _ = _bounded_leverage_budgets(rng, 10000)
+    lo, hi = bd._stable_interval(bd._leverage(s, p, i, f), "direct")
+    if not np.all(lo < hi):
+        raise InvariantViolation("an accepted draw has an empty stable tax interval")
+    in_range = (lo <= t) & (t <= hi)
+    stable = bd._is_stable(bd._coefficients(t, s, p, i, f, g).pole)
+    mismatches = int(np.count_nonzero(in_range != stable))
     return (
         mismatches <= tol,
         float(mismatches),
@@ -244,12 +274,11 @@ def _check_pole_range_equivalence(tol: float, rng: random.Random):
 
 
 def _check_regrouping_identity(tol: float, rng: random.Random):
-    worst = 0.0
-    for _ in range(10000):
-        params = _random_budget(rng)
-        lev = bd.tax_leverage(params)
-        regrouped = params.tax_rate * (1.0 + lev) - lev
-        worst = max(worst, abs(bd.coefficients(params).pole - regrouped))
+    t, s, p, i, f, g, _ = _random_budgets(rng, 10000)
+    lev = bd._leverage(s, p, i, f)
+    regrouped = t * (1.0 + lev) - lev
+    pole = bd._coefficients(t, s, p, i, f, g).pole
+    worst = float(np.abs(pole - regrouped).max())
     return worst <= tol, worst, f"max pole regrouping discrepancy over 10000 draws: {worst:.3e}"
 
 
@@ -274,17 +303,17 @@ def _check_impulse_step_consistency(tol: float, rng: random.Random):
 def _leverage_scan():
     """Max leverage and shrink-predicate count over the parameter box.
 
-    The surface is one vectorized expression with the same term grouping
-    as tax_leverage, so every cell matches the scalar call bit for bit;
-    the extreme cell is then re-run through the scalar production
-    functions to pin the two routes together.
+    The surface is tax_leverage's own expression evaluated on arrays, so
+    every cell matches the scalar call bit for bit; the extreme cell is
+    then re-run through the scalar production functions to pin the two
+    routes together.
     """
     c = np.linspace(0.0, 1.0, 21)
     p = np.linspace(0.0, 1.0, 21)
     xi = np.linspace(0.0, 2.0, 21)
     th = np.linspace(0.0, 2.0, 21)
     cg, pg, xg, tg = np.meshgrid(c, p, xi, th, indexing="ij", sparse=True)
-    lev = (1.0 - cg) * (1.0 - pg) - xg * (1.0 + tg)
+    lev = bd._leverage(cg, pg, xg, tg)
     worst = float(lev.max())
     fires = int(np.count_nonzero(lev > 1.0))
     i, j, k, m = np.unravel_index(int(lev.argmax()), lev.shape)

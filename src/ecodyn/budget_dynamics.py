@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import InvariantViolation
 from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields
 
@@ -325,6 +327,27 @@ def _is_stable(pole):
     return abs(pole) <= 1.0
 
 
+def _leverage(spending_split, private_fraction, invest_share, foreign_multiplier):
+    return (1.0 - spending_split) * (1.0 - private_fraction) - invest_share * (
+        1.0 + foreign_multiplier
+    )
+
+
+def _stable_interval(leverage, mode):
+    """Ends (lo, hi) of the stable tax interval, for leverage above -1.
+
+    The interval is empty where lo < hi fails. Floats or arrays in, numpy
+    values out; each np.where picks what Python's max(0.0, x) or
+    min(1.0, x) would, signed zeros and NaN included.
+    """
+    denom = 1.0 + leverage
+    if mode == "direct":
+        lo = (leverage - 1.0) / denom
+        return np.where(lo > 0.0, lo, 0.0), 1.0
+    lo, hi = (leverage - 2.0) / denom, leverage / denom
+    return np.where(lo > 0.0, lo, 0.0), np.where(hi < 1.0, hi, 1.0)
+
+
 def _geometric_level(power, pole, initial_wages, constant_flow):
     """pole**n * (W_0 - b) + b with b the fixed point, given power = pole**n."""
     base = constant_flow / (1.0 - pole)
@@ -416,9 +439,12 @@ def tax_leverage(params: BudgetParams) -> float:
     The pole regroups as tax_rate * (1 + leverage) - leverage, so this
     single number fixes which tax rates keep the system stable.
     """
-    return (1.0 - params.spending_split) * (
-        1.0 - params.private_fraction
-    ) - params.invest_share * (1.0 + params.foreign_multiplier)
+    return _leverage(
+        params.spending_split,
+        params.private_fraction,
+        params.invest_share,
+        params.foreign_multiplier,
+    )
 
 
 def taxation_range(
@@ -435,15 +461,9 @@ def taxation_range(
     """
     _check_mode(mode)
     lev = tax_leverage(params)
-    denom = 1.0 + lev
-    if denom <= 0.0:
+    if 1.0 + lev <= 0.0:
         return DegenerateRange(lev)
-    if mode == "direct":
-        lo = max(0.0, (lev - 1.0) / denom)
-        hi = 1.0
-    else:
-        lo = max(0.0, (lev - 2.0) / denom)
-        hi = min(1.0, lev / denom)
+    lo, hi = map(float, _stable_interval(lev, mode))
     if not lo < hi:
         return None
     return (lo, hi)

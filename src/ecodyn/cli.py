@@ -30,7 +30,7 @@ from . import __version__, audit
 from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
-from .errors import DomainError, EcodynError, InvariantViolation, finite
+from .errors import DomainError, EcodynError, InvariantViolation, NumericalFailure, finite
 from .oracles import IntegrationSpec, rk4_integrate
 from .schema import integer, is_number, number, read
 from .sweep import BINDINGS, Axis, ParamGrid, cost_structure, stability_region, sweep
@@ -98,8 +98,8 @@ _JSON_VALUE: dict[type, Callable[[Any], str]] = {
     str: encode_basestring_ascii,
     type(None): {None: "null"}.__getitem__,
 }
-# json spells the non-finite floats its own way
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# float.__repr__ of the values standard JSON cannot hold
+_NONFINITE = frozenset(("nan", "inf", "-inf"))
 
 
 def _encode(
@@ -140,9 +140,10 @@ def _write_csv(columns: dict[str, list[Any]], stream: IO[str]) -> None:
 
 def _json_column(values: list[Any]) -> list[str]:
     cells = _encode(values, _JSON_VALUE, json.dumps)
-    if _JSON_NONFINITE.keys().isdisjoint(cells):
-        return cells
-    return [_JSON_NONFINITE.get(c, c) for c in cells]
+    if not _NONFINITE.isdisjoint(cells):
+        bad = next(c for c in cells if c in _NONFINITE)
+        raise NumericalFailure(f"cannot write the non-finite value {bad} as JSON")
+    return cells
 
 
 def _json_row(names: list[str], leave_out: tuple[str, ...]) -> str:
@@ -360,7 +361,7 @@ def _run_value(args: argparse.Namespace) -> int:
             )
             for i, got in zip(lanes, rk4_integrate(spec, market[0]).tolist()):
                 y = market[i]
-                errors[i] = abs(got - y) / max(1.0, abs(y))
+                errors[i] = finite("rk4_error", lambda: abs(got - y) / max(1.0, abs(y)))
         meta_exponent = exponent
 
     metadata = {

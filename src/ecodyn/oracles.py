@@ -18,6 +18,7 @@ from .schema import FINITE, POSITIVE, bounded, check_fields
 
 Rhs = Callable[[float, float], float]
 Scalar = Callable[[float], float]
+Columnar = Callable[[np.ndarray], np.ndarray]
 
 DEFAULT_DIFF_STEP = 1e-5
 
@@ -129,18 +130,28 @@ def central_diff_second(f: Scalar, x: float, spec: DiffSpec = DiffSpec()) -> flo
     return (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
 
 
-def grid_argmax(f: Scalar, grid: list[float]) -> tuple[float, float]:
+def grid_argmax(f: Columnar, grid: np.ndarray | list[float]) -> tuple[float, float]:
     """Brute-force maximizer of f over an ordered grid.
 
-    Ties break to the leftmost grid point under exact comparison, so the
-    result is deterministic for any strictly ordered input.
+    f maps the 1-D grid array to an array of values of the same length,
+    and is evaluated once, so it must compute element-wise. Ties break to
+    the leftmost grid point under exact comparison (np.argmax returns the
+    first maximum), so the result is deterministic for any strictly
+    ordered input. A NaN value raises NumericalFailure rather than being
+    skipped, and a value array of the wrong length raises DomainError.
+    The maximizer and its value come back as Python floats.
     """
-    if len(grid) == 0:
-        raise DomainError("grid_argmax needs a nonempty grid")
-    best_x = grid[0]
-    best_val = f(best_x)
-    for x in grid[1:]:
-        val = f(x)
-        if val > best_val:
-            best_x, best_val = x, val
-    return best_x, best_val
+    xs = np.asarray(grid, dtype=float)
+    if xs.ndim != 1 or len(xs) == 0:
+        raise DomainError("grid_argmax needs a nonempty 1-D grid")
+    values = np.asarray(f(xs), dtype=float)
+    if values.shape != xs.shape:
+        raise DomainError(
+            f"grid_argmax needs one value per grid point, got shape {values.shape} "
+            f"for {len(xs)} points"
+        )
+    nan = np.isnan(values)
+    if nan.any():
+        raise NumericalFailure(f"grid_argmax: f is NaN at x={xs[nan.argmax()].item()}")
+    best = values.argmax()
+    return xs[best].item(), values[best].item()

@@ -52,6 +52,18 @@ def declared(cls: type) -> tuple[tuple[str, float, float, str], ...]:
     return tuple((f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
 
 
+def admitted(cls: type, columns: Any) -> Any:
+    """Mask of the rows whose bounded fields all lie in their bounds.
+
+    columns holds one numpy column per bounded field of cls, in field
+    order, and the mask is what check_fields would accept row by row.
+    """
+    mask = True
+    for (_, lower, upper, _), column in zip(declared(cls), columns):
+        mask = mask & (column >= lower) & (column <= upper)
+    return mask
+
+
 def check_fields(obj: Any) -> None:
     """Raise on the first bounded field of obj outside its bound.
 

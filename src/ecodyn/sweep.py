@@ -26,7 +26,7 @@ from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
 from .errors import EcodynError, InvariantViolation, finite
-from .schema import declared, factor_pairs, integer, number, read
+from .schema import admitted, factor_pairs, integer, number, read
 
 
 @dataclass(frozen=True)
@@ -242,11 +242,8 @@ def _budget_columns(
     t, s, p, i, f, g, w0 = operands
     coeffs = bd._coefficients(t, s, p, i, f, g)
     pole = coeffs.pole_in_mode(mode)
-    # the cells BudgetParams admits, from its declared bounds
-    valid = np.isfinite(pole)
-    for (_, lower, upper, _), column in zip(declared(bd.BudgetParams), operands):
-        valid &= (column >= lower) & (column <= upper)
-    redo = ~valid
+    # cells BudgetParams would reject, or whose pole is not finite
+    redo = ~(np.isfinite(pole) & admitted(bd.BudgetParams, operands))
     values = {"pole": pole, "stable": bd._is_stable(pole)}
     if "final_pool" in outputs:
         horizon = _horizon(params)

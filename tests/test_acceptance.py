@@ -74,7 +74,9 @@ def test_criterion_1_wage_optimum_and_derivatives():
             cs = random_cost_structure(rng)
             floor = rng.uniform(0.1, 5.0)
             grid = [float(v) for v in np.linspace(floor, 10.0 * floor, 1000)]
-            found, _ = oracles.grid_argmax(lambda w: wp.net_profit(cs, w), grid)
+            found, _ = oracles.grid_argmax(
+                lambda ws: np.array([wp.net_profit(cs, w) for w in ws.tolist()]), grid
+            )
             best = wp.optimal_wage(cs, wp.WageBound(floor))
             assert isinstance(best, wp.ProfitPoint)
             assert found == best.wage == floor

@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecodyn.budget_dynamics import (
     BudgetParams,
+    _leverage,
+    _stable_interval,
     DeficiencyFactors,
     DegenerateRange,
     DivergentFixedPoint,
@@ -217,6 +221,25 @@ def test_unit_leverage_range_spans_everything():
     corner = BudgetParams(0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     assert tax_leverage(corner) == 1.0
     assert taxation_range(corner) == (0.0, 1.0)
+
+
+@given(st.lists(budget_params(), min_size=1, max_size=20), st.sampled_from(["direct", "incremental"]))
+def test_interval_columns_match_taxation_range(draws, mode):
+    # the array route the audit takes, against the scalar one per draw
+    columns = [np.array(c) for c in zip(*(dataclasses.astuple(p) for p in draws))]
+    leverage = _leverage(*columns[1:5])
+    lo, hi = np.broadcast_arrays(*_stable_interval(leverage, mode))
+    for p, lev, a, b in zip(draws, leverage.tolist(), lo.tolist(), hi.tolist()):
+        assert lev == tax_leverage(p)
+        expected = taxation_range(p, mode)
+        if isinstance(expected, DegenerateRange):
+            assert 1.0 + lev <= 0.0
+        elif expected is None:
+            assert not a < b
+        else:
+            # Python floats, not numpy scalars, come back from taxation_range
+            assert type(expected[0]) is float and type(expected[1]) is float
+            assert repr(expected) == repr((a, b))
 
 
 def test_marginal_pole_counts_as_stable():

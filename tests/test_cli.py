@@ -11,6 +11,7 @@ import pytest
 
 from ecodyn import cli
 from ecodyn.cli import main
+from ecodyn.errors import NumericalFailure
 from ecodyn.sweep import BINDINGS, Axis, ParamGrid, sweep
 
 DATA = Path(__file__).parent / "data"
@@ -471,10 +472,25 @@ def test_writers_match_the_reference_route(monkeypatch):
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     metadata = {"command": "test", "exponent": None, "pole": math.inf, "rows": 4}
     assert _written(cli._write_csv, columns) == _reference_csv(list(columns), rows)
+    # JSON cells must be finite (see test_json_writer_rejects_non_finite_cells)
+    columns["x"][2:] = [1e300, -1e-300]
+    columns["gap"][2] = -1e300
+    rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     assert _written(cli._write_json, columns, metadata) == _reference_json(rows, metadata)
     empty = {"a": [], "b": []}
     assert _written(cli._write_csv, empty) == _reference_csv(["a", "b"], [])
     assert _written(cli._write_json, empty, metadata) == _reference_json([], metadata)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_non_finite_cells(monkeypatch, bad):
+    # the bad cell sits in the second write block
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+    columns = {"x": [0.5, 1.5, 2.5, bad], "y": [1, 2, 3, 4]}
+    with pytest.raises(NumericalFailure, match=f"non-finite value {bad!r} as JSON"):
+        _written(cli._write_json, columns, {"rows": 4})
+    # CSV spells them as repr does
+    assert _written(cli._write_csv, columns).splitlines()[-1] == f"{bad!r},4"
 
 
 def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):

@@ -192,7 +192,7 @@ def test_grid_argmax_fine_parabola():
 
 
 def test_grid_argmax_leftmost_tie():
-    x, v = grid_argmax(lambda t: 0.0, [1.0, 2.0, 3.0])
+    x, v = grid_argmax(lambda t: 0.0 * t, [1.0, 2.0, 3.0])
     assert x == 1.0
     assert v == 0.0
 
@@ -205,6 +205,33 @@ def test_grid_argmax_empty():
 @given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=40))
 def test_grid_argmax_finds_first_maximum(values):
     grid = [float(i) for i in range(len(values))]
-    x, v = grid_argmax(lambda t: values[int(t)], grid)
+    x, v = grid_argmax(lambda t: np.asarray(values)[t.astype(int)], grid)
     assert v == max(values)
     assert int(x) == values.index(max(values))
+
+
+def test_grid_argmax_returns_python_floats_and_calls_f_once():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 - np.abs(t - 1.0)
+
+    x, v = grid_argmax(f, np.linspace(0.0, 2.0, 5))
+    assert (x, v) == (1.0, 1.0)
+    assert type(x) is float and type(v) is float
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_grid_argmax_rejects_a_nan_value(first):
+    values = np.array([1.0, 2.0, 3.0])
+    values[0 if first else 2] = np.nan
+    with pytest.raises(NumericalFailure, match=f"x={0.0 if first else 2.0}"):
+        grid_argmax(lambda t: values, [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("values", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), 0.0])
+def test_grid_argmax_rejects_a_wrong_length(values):
+    with pytest.raises(DomainError, match="one value per grid point"):
+        grid_argmax(lambda t: values, [0.0, 1.0, 2.0])
