@@ -23,8 +23,8 @@ from . import budget_dynamics as bd
 from . import oracles
 from . import value_feedback as vf
 from . import wage_profit as wp
-from .errors import DomainError, InvariantViolation
-from .schema import admitted
+from .errors import InvariantViolation
+from .schema import first_failing
 
 DEFAULT_SEED = 1729
 
@@ -106,9 +106,9 @@ def _random_budgets(rng: random.Random, n: int) -> np.ndarray:
     draws = np.fromiter(iter(rng.random, None), float, count=7 * n).reshape(n, 7)
     rows = _DRAW_LOW + _DRAW_SPAN * draws
     columns = rows.T
-    admits = admitted(bd.BudgetParams, columns)
-    if not admits.all():
-        row = rows[admits.argmin()].tolist()
+    rejected = first_failing(bd.BudgetParams, columns) < len(columns)
+    if rejected.any():
+        row = rows[rejected.argmax()].tolist()
         raise InvariantViolation(f"random draw outside the BudgetParams bounds: {row}")
     return columns
 
@@ -119,10 +119,7 @@ def _check_wage_grid_argmax(tol: float, rng: random.Random):
         cs = _random_cost_structure(rng)
         floor = rng.uniform(0.1, 5.0)
         grid = np.linspace(floor, 10.0 * floor, 1000)
-        # net_profit's wage check, for the whole grid
-        lowest = grid.min()
-        if not lowest > 0.0:
-            raise DomainError(f"wage must be > 0, got {lowest}")
+        wp._check_wage(grid.min())  # net_profit's wage check, for the whole grid
         margin = wp.gross_margin(cs)
         found, _ = oracles.grid_argmax(lambda w: wp._profit_ratio(margin, w, cs.labor_weight), grid)
         best = wp.optimal_wage(cs, wp.WageBound(floor))

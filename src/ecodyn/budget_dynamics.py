@@ -32,6 +32,12 @@ def _check_mode(mode: str) -> None:
         raise InvariantViolation(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _check_run(mode: str, n: int) -> None:
+    _check_mode(mode)
+    if n < 0:
+        raise InvariantViolation(f"year count must be >= 0, got {n}")
+
+
 @dataclass(frozen=True)
 class BudgetParams:
     """Inputs of the wage pool recurrence.
@@ -354,6 +360,11 @@ def _geometric_level(power, pole, initial_wages, constant_flow):
     return power * (initial_wages - base) + base
 
 
+def _unit_pole_level(initial_wages, n, constant_flow):
+    """W_0 + n * constant_flow, the level after n years at a pole of exactly 1."""
+    return initial_wages + n * constant_flow
+
+
 def coefficients(params: BudgetParams) -> RecurrenceCoefficients:
     """Collect the wage-linear gains and the constant flow term.
 
@@ -375,9 +386,7 @@ def iterate(params: BudgetParams, n: int, mode: str = "direct") -> list[float]:
 
     The first entry is the initial pool, so iterate(p, 0) is [W0].
     """
-    _check_mode(mode)
-    if n < 0:
-        raise InvariantViolation(f"year count must be >= 0, got {n}")
+    _check_run(mode, n)
     coeffs = coefficients(params)
     pole = coeffs.pole_in_mode(mode)
     levels = [params.initial_wages]
@@ -410,13 +419,11 @@ def closed_form(params: BudgetParams, n: int, mode: str = "direct") -> float:
     W_n = pole**n * (W_0 - b) + b with b the fixed point; at a pole of
     exactly 1 the limit form W_0 + n * constant_flow applies.
     """
-    _check_mode(mode)
-    if n < 0:
-        raise InvariantViolation(f"year count must be >= 0, got {n}")
+    _check_run(mode, n)
     coeffs = coefficients(params)
     pole = coeffs.pole_in_mode(mode)
     if pole == 1.0:
-        return params.initial_wages + n * coeffs.constant_flow
+        return _unit_pole_level(params.initial_wages, n, coeffs.constant_flow)
     return _geometric_level(pole**n, pole, params.initial_wages, coeffs.constant_flow)
 
 
@@ -426,9 +433,7 @@ def impulse_response(params: BudgetParams, n: int, mode: str = "direct") -> floa
     Starting the recurrence from an empty pool, one round of constant
     flow injected at year zero echoes as constant_flow * pole**n.
     """
-    _check_mode(mode)
-    if n < 0:
-        raise InvariantViolation(f"year count must be >= 0, got {n}")
+    _check_run(mode, n)
     coeffs = coefficients(params)
     return coeffs.constant_flow * coeffs.pole_in_mode(mode) ** n
 

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import MISSING
 from functools import partial
@@ -203,19 +204,22 @@ def _emit(
     """Write the rows as CSV or JSON to out, or to stdout.
 
     CSV leaves None cells empty; JSON rows marked in holes leave out the
-    keys named in sparse.
+    keys named in sparse. Rows are written a block at a time, so a write
+    that fails on a cell removes out rather than leave part of the table.
     """
+    if fmt == "csv":
+        write = partial(_write_csv, columns)
+    else:
+        write = partial(_write_json, columns, metadata, holes=holes, sparse=sparse)
     if out is None:
-        if fmt == "csv":
-            _write_csv(columns, sys.stdout)
-        else:
-            _write_json(columns, metadata, sys.stdout, holes, sparse)
+        write(stream=sys.stdout)
         return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        if fmt == "csv":
-            _write_csv(columns, fh)
-        else:
-            _write_json(columns, metadata, fh, holes, sparse)
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            write(stream=fh)
+    except EcodynError:
+        os.remove(out)
+        raise
 
 
 def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str, str | None]:
@@ -342,8 +346,8 @@ def _run_value(args: argparse.Namespace) -> int:
             curve = partial(vf.singular_market_value, number(sec, "homog_coeff", 1.0))
             _say("exponent 1: using the logarithmic closed form")
         else:
-            sol = vf._solution(exponent, number(sec, "homog_coeff", None))
-            curve = partial(vf.analytic_market_value, sol)
+            coeff = number(sec, "homog_coeff", vf._default_coeff(exponent))
+            curve = partial(vf.analytic_market_value, vf.MarketValueSolution(exponent, coeff))
 
         market = [finite("market_value", partial(curve, x)) for x in xs]
         errors = [0.0] * len(xs)

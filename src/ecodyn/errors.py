@@ -30,13 +30,18 @@ class NumericalFailure(EcodynError, ArithmeticError):
     """A numerical routine produced non-finite intermediate values."""
 
 
+# the texts of finite's two failures, formatted with the value's name
+OVERFLOW_NOTE = "{} overflows the float range"
+NOT_FINITE_NOTE = "{} is not finite: {!r}"
+
+
 def finite(name: str, compute: Callable[[], float]) -> float:
     """Run compute, turning overflow (a division by an underflowed zero
     included) or a non-finite result into a NumericalFailure."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
-        raise NumericalFailure(f"{name} overflows the float range") from None
+        raise NumericalFailure(OVERFLOW_NOTE.format(name)) from None
     if not math.isfinite(value):
-        raise NumericalFailure(f"{name} is not finite: {value!r}")
+        raise NumericalFailure(NOT_FINITE_NOTE.format(name, value))
     return value

@@ -4,8 +4,8 @@ config readers that go with them.
 A field declared with :func:`bounded` carries a :class:`Bound`: a closed
 interval of finite numbers. The same declaration drives the dataclass's
 ``__post_init__`` check (:func:`check_fields`) and the sweep engine's
-column masks, and :func:`read` builds any of these dataclasses from a
-config mapping with the field defaults.
+column masks and notes, and :func:`read` builds any of these dataclasses
+from a config mapping with the field defaults.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import sys
 from dataclasses import MISSING, field, fields
 from functools import cache
 from typing import Any, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import InvariantViolation
 
@@ -32,7 +34,11 @@ class Bound(NamedTuple):
 
     def check(self, name: str, value: float) -> None:
         if not self.lower <= value <= self.upper:
-            raise InvariantViolation(f"{name} {self.text}, got {value}")
+            raise InvariantViolation(BOUND_NOTE.format(name, self.text, value))
+
+
+# why a value is out of bound, formatted with its name, the bound's text and the value
+BOUND_NOTE = "{} {}, got {}"
 
 
 UNIT = Bound(0.0, 1.0, "must lie in [0, 1]")
@@ -52,16 +58,15 @@ def declared(cls: type) -> tuple[tuple[str, float, float, str], ...]:
     return tuple((f.name, *f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
 
 
-def admitted(cls: type, columns: Any) -> Any:
-    """Mask of the rows whose bounded fields all lie in their bounds.
-
-    columns holds one numpy column per bounded field of cls, in field
-    order, and the mask is what check_fields would accept row by row.
-    """
-    mask = True
+def first_failing(cls: type, columns: Any) -> Any:
+    """Index of each row's first bounded field outside its bound, which
+    check_fields raises on, or len(declared(cls)); columns holds one numpy
+    column per bounded field, in field order."""
+    inside, first = True, np.uint8(0)  # first counts the leading fields inside
     for (_, lower, upper, _), column in zip(declared(cls), columns):
-        mask = mask & (column >= lower) & (column <= upper)
-    return mask
+        inside = inside & (column >= lower) & (column <= upper)
+        first = first + inside
+    return first
 
 
 def check_fields(obj: Any) -> None:
@@ -73,7 +78,7 @@ def check_fields(obj: Any) -> None:
     for name, lower, upper, text in declared(type(obj)):
         value = getattr(obj, name)
         if not lower <= value <= upper:
-            raise InvariantViolation(f"{name} {text}, got {value}")
+            raise InvariantViolation(BOUND_NOTE.format(name, text, value))
 
 
 def is_number(v: Any) -> bool:

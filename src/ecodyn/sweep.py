@@ -7,17 +7,17 @@ Cells where the model rejects the parameter combination, or where an
 output overflows or is not finite, are kept in place but flagged, so
 grids stay rectangular.
 
-Each model binding evaluates whole numpy columns through the same
-arithmetic helpers as the scalar model functions, so every clean cell
-equals the scalar call bit for bit. Only the cells the columns cannot
-vouch for are evaluated again one at a time by the scalar model code,
-which either clears them or raises the exact rejection note.
+Each model binding evaluates whole numpy columns with the arithmetic
+helpers and the checks of the scalar model functions, in their order, so
+every clean cell equals the scalar call bit for bit and every flagged
+cell's note is the text that call raises. No cell is evaluated alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -25,8 +25,8 @@ import numpy as np
 from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
-from .errors import EcodynError, InvariantViolation, finite
-from .schema import admitted, factor_pairs, integer, number, read
+from .errors import NOT_FINITE_NOTE, OVERFLOW_NOTE, EcodynError, InvariantViolation, finite
+from .schema import BOUND_NOTE, declared, factor_pairs, first_failing, integer, number, read
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,7 @@ class SweepResult:
     metadata: dict[str, Any]
 
 
-# Output columns of a binding, plus the mask of cells the columns cannot
-# vouch for; masked entries may hold anything.
-EvaluatedColumns = tuple[dict[str, np.ndarray], np.ndarray]
+Evaluated = tuple[dict[str, np.ndarray], np.ndarray]  # see ModelBinding.evaluate_columns
 
 
 @dataclass(frozen=True)
@@ -117,11 +115,10 @@ class ModelBinding:
     reader that checks their type; outputs fixes the full column set a
     sweep can report.
 
-    evaluate_columns(params, cells, outputs) gets every axis as a numpy
-    column in params and returns at least the requested output columns,
-    plus a mask of cells to evaluate again one at a time. evaluate(params,
-    outputs) is that scalar evaluation of one cell: it returns at least
-    the requested outputs or raises the model's rejection.
+    evaluate_columns(params, cells, outputs), the one evaluator, gets
+    every axis as a numpy column in params and returns at least the
+    requested output columns and one note per cell, "" for a clean cell;
+    noted cells may hold anything, and a column may be missing if all are.
     """
 
     model: str
@@ -129,8 +126,40 @@ class ModelBinding:
     required: tuple[str, ...]
     optional: dict[str, Callable[[Mapping[str, Any], str], Any]]
     outputs: tuple[str, ...]
-    evaluate: Callable[[dict[str, Any], tuple[str, ...]], dict[str, Any]]
-    evaluate_columns: Callable[[dict[str, Any], int, tuple[str, ...]], EvaluatedColumns]
+    evaluate_columns: Callable[[dict[str, Any], int, tuple[str, ...]], Evaluated]
+
+
+class _Notes:
+    """One note per cell, added check by check in the order the scalar
+    model call makes them: a cell keeps the text of the first check it
+    fails, and a clean cell keeps ""."""
+
+    def __init__(self, cells: int) -> None:
+        self.texts = np.full(cells, "", dtype=object)
+        self.open = np.ones(cells, dtype=bool)
+
+    def add(self, failed: Any, text: Any, value: Any = None) -> np.ndarray:
+        """Note text on the open cells in failed (a mask, or True for all)
+        and return the notes; with a value (a column, or one value for every
+        cell) text is a function of one cell's value."""
+        cells = np.flatnonzero(failed & self.open)
+        if value is not None:
+            text = list(map(text, np.broadcast_to(value, self.open.shape)[cells].tolist()))
+        self.texts[cells] = text
+        self.open[cells] = False
+        return self.texts
+
+    def fields(self, cls: type, given: list[Any]) -> list[np.ndarray]:
+        """Note the first bounded field of cls outside its bound, quoting
+        the values as given, and return the fields as float columns."""
+        columns = _float_columns(given, self.open.size)
+        first = first_failing(cls, columns)
+        for index, (name, _, _, text) in enumerate(declared(cls)):
+            self.add(first == index, partial(BOUND_NOTE.format, name, text), given[index])
+        return columns
+
+    def not_finite(self, name: str, column: np.ndarray) -> None:
+        self.add(~np.isfinite(column), partial(NOT_FINITE_NOTE.format, name), column)
 
 
 def _float_columns(values: list[Any], cells: int) -> list[np.ndarray]:
@@ -139,32 +168,22 @@ def _float_columns(values: list[Any], cells: int) -> list[np.ndarray]:
     return [v if isinstance(v, np.ndarray) else np.full(cells, float(v)) for v in values]
 
 
-def _unevaluated(cells: int, outputs: tuple[str, ...]) -> EvaluatedColumns:
-    """Send every cell down the scalar path."""
-    return {name: np.zeros(cells) for name in outputs}, np.ones(cells, dtype=bool)
-
-
-def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> np.ndarray:
-    """base**exponent per element, with Python's float pow.
+def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """base**exponent per element with Python's float pow, and the mask of
+    cells where pow raised OverflowError; skipped cells compute 1.0**exponent.
 
     numpy's vectorised power can differ from Python's in the last ulp,
     which would break bit equality with the scalar model functions.
-    Skipped cells compute 1.0**exponent instead; an overflowing cell
-    becomes inf, for the caller's finiteness mask to catch.
     """
     bases = np.where(skip, 1.0, base).tolist()
     exponents = np.broadcast_to(exponent, base.shape).tolist()
-    try:
-        return np.array(list(map(pow, bases, exponents)))
-    except OverflowError:
-        return np.array([_pow_or_inf(b, e) for b, e in zip(bases, exponents)])
-
-
-def _pow_or_inf(base: float, exponent: float) -> float:
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
+    powers, overflow = np.ones(base.shape), np.zeros(base.shape, dtype=bool)
+    for k, (b, e) in enumerate(zip(bases, exponents)):
+        try:
+            powers[k] = b**e
+        except OverflowError:
+            overflow[k] = True
+    return powers, overflow
 
 
 def cost_structure(params: Mapping[str, Any]) -> wp.CostStructure:
@@ -172,90 +191,69 @@ def cost_structure(params: Mapping[str, Any]) -> wp.CostStructure:
     return read(wp.CostStructure, params, other_factors=factor_pairs(params, "other_factors"))
 
 
-def _eval_wage(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
-    cs = cost_structure(params)
-    return {"net_profit": finite("net_profit", lambda: wp.net_profit(cs, params["wage"]))}
-
-
-def _wage_columns(
-    params: dict[str, Any], cells: int, outputs: tuple[str, ...]
-) -> EvaluatedColumns:
+def _wage_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
+    notes = _Notes(cells)
+    wage = params["wage"]  # the model's only axis
     try:
         cs = cost_structure(params)
+        notes.add(wage <= 0.0, wp._WAGE_NOTE.format, wage)
         margin = wp.gross_margin(cs)
-    except EcodynError:
-        return _unevaluated(cells, outputs)
-    margin, wage, labor_weight = _float_columns([margin, params["wage"], cs.labor_weight], cells)
-    net_profit = wp._profit_ratio(margin, wage, labor_weight)
-    redo = ~(wage > 0) | ~np.isfinite(net_profit)
-    return {"net_profit": net_profit}, redo
+    except EcodynError as exc:
+        return {}, notes.add(True, str(exc))
+    net_profit = wp._profit_ratio(margin, wage, cs.labor_weight)
+    notes.not_finite("net_profit", net_profit)
+    return {"net_profit": net_profit}, notes.texts
 
 
-def _eval_value(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
-    sol = vf._solution(params["exponent"], params.get("homog_coeff"))
-    x = params["true_value"]
-    market = finite("market_value", lambda: vf.analytic_market_value(sol, x))
-    return {"market_value": market, "gap": finite("gap", lambda: market - x)}
-
-
-def _value_columns(
-    params: dict[str, Any], cells: int, outputs: tuple[str, ...]
-) -> EvaluatedColumns:
-    names = ("exponent", "true_value", "homog_coeff")
-    operands = _float_columns([params[n] for n in names if n in params], cells)
-    exponent, x = operands[:2]
-    coeff = operands[2] if len(operands) == 3 else vf._default_coeff(exponent)
-    redo = (exponent == 1.0) | ~(x > 0.0)
-    market = vf._power_law(coeff, exponent, _power(x, exponent, redo), x)
+def _value_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
+    notes = _Notes(cells)
+    exponent, x = _float_columns([params["exponent"], params["true_value"]], cells)
+    singular = exponent == 1.0
+    if "homog_coeff" not in params:  # with_default_coeff checks the exponent first
+        notes.add(singular, vf._SINGULAR_NOTE)
+    given = [params["exponent"], params.get("homog_coeff", vf._default_coeff(exponent))]
+    _, coeff = notes.fields(vf.MarketValueSolution, given)
+    notes.add(singular, vf._SINGULAR_NOTE)
+    notes.add(x <= 0.0, vf._TRUE_VALUE_NOTE.format, params["true_value"])
+    power, overflow = _power(x, exponent, ~notes.open)
+    notes.add(overflow, OVERFLOW_NOTE.format("market_value"))
+    market = vf._power_law(coeff, exponent, power, x)
     gap = market - x
-    redo |= ~np.isfinite(market) | ~np.isfinite(gap)
-    return {"market_value": market, "gap": gap}, redo
+    notes.not_finite("market_value", market)
+    notes.not_finite("gap", gap)
+    return {"market_value": market, "gap": gap}, notes.texts
 
 
 BUDGET_PARAMS = tuple(field.name for field in fields(bd.BudgetParams))
 
 
-def _horizon(params: dict[str, Any]) -> int:
-    return params.get("horizon", 10)
-
-
-def _eval_budget(params: dict[str, Any], outputs: tuple[str, ...]) -> dict[str, Any]:
+def _budget_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
+    notes = _Notes(cells)
+    operands = notes.fields(bd.BudgetParams, [params[name] for name in BUDGET_PARAMS])
     mode = params.get("mode", "direct")
-    horizon = _horizon(params) if "final_pool" in outputs else None
-    budget = bd.BudgetParams(**{name: params[name] for name in BUDGET_PARAMS})
-    report = bd.stability_report(budget, mode)
-    values = {"pole": finite("pole", lambda: report.pole), "stable": report.stable}
-    if horizon is not None:
-        values["final_pool"] = finite(
-            "final_pool", lambda: bd.closed_form(budget, horizon, mode)
-        )
-    return values
-
-
-def _budget_columns(
-    params: dict[str, Any], cells: int, outputs: tuple[str, ...]
-) -> EvaluatedColumns:
-    mode = params.get("mode", "direct")
-    if mode not in bd.MODES:
-        return _unevaluated(cells, outputs)
-    operands = _float_columns([params[name] for name in BUDGET_PARAMS], cells)
-    t, s, p, i, f, g, w0 = operands
-    coeffs = bd._coefficients(t, s, p, i, f, g)
-    pole = coeffs.pole_in_mode(mode)
-    # cells BudgetParams would reject, or whose pole is not finite
-    redo = ~(np.isfinite(pole) & admitted(bd.BudgetParams, operands))
-    values = {"pole": pole, "stable": bd._is_stable(pole)}
-    if "final_pool" in outputs:
-        horizon = _horizon(params)
-        if horizon < 0:
-            return _unevaluated(cells, outputs)
-        power = _power(pole, horizon, redo)
-        final = bd._geometric_level(power, pole, w0, coeffs.constant_flow)
-        # this is never finite at a pole of exactly 1, so those cells take
-        # the scalar closed form's limit branch
-        redo |= ~np.isfinite(final)
-        values["final_pool"] = final
-    return values, redo
+    coeffs = bd._coefficients(*operands[:6])
+    try:
+        pole = coeffs.pole_in_mode(mode)
+    except EcodynError as exc:
+        return {}, notes.add(True, str(exc))
+    notes.not_finite("pole", pole)
+    columns = {"pole": pole, "stable": bd._is_stable(pole)}
+    if "final_pool" not in outputs:
+        return columns, notes.texts
+    horizon = params.get("horizon", 10)
+    try:
+        bd._check_run(mode, horizon)
+        # closed_form overflows in every cell on a horizon past the float range
+        years = finite("final_pool", lambda: float(horizon))
+    except EcodynError as exc:
+        return columns, notes.add(True, str(exc))
+    power, overflow = _power(pole, years, ~notes.open)
+    notes.add(overflow, OVERFLOW_NOTE.format("final_pool"))
+    w0, flow = operands[6], coeffs.constant_flow
+    level = bd._geometric_level(power, pole, w0, flow)
+    final = np.where(pole == 1.0, bd._unit_pole_level(w0, years, flow), level)
+    notes.not_finite("final_pool", final)
+    return {**columns, "final_pool": final}, notes.texts
 
 
 BINDINGS: dict[str, ModelBinding] = {
@@ -265,7 +263,6 @@ BINDINGS: dict[str, ModelBinding] = {
         required=("max_market_price", "labor_weight", "wage"),
         optional={"other_factors": factor_pairs},
         outputs=("net_profit",),
-        evaluate=_eval_wage,
         evaluate_columns=_wage_columns,
     ),
     "value": ModelBinding(
@@ -274,7 +271,6 @@ BINDINGS: dict[str, ModelBinding] = {
         required=("exponent", "true_value"),
         optional={"homog_coeff": number},
         outputs=("market_value", "gap"),
-        evaluate=_eval_value,
         evaluate_columns=_value_columns,
     ),
     "budget": ModelBinding(
@@ -283,7 +279,6 @@ BINDINGS: dict[str, ModelBinding] = {
         required=BUDGET_PARAMS,
         optional={"horizon": integer},
         outputs=("pole", "stable", "final_pool"),
-        evaluate=_eval_budget,
         evaluate_columns=_budget_columns,
     ),
 }
@@ -340,22 +335,14 @@ def sweep(
     cells = grid.cells
     coord_columns = grid.columns()
     with np.errstate(all="ignore"):
-        columns, redo = binding.evaluate_columns({**base, **coord_columns}, cells, outputs)
+        columns, notes = binding.evaluate_columns({**base, **coord_columns}, cells, outputs)
+    flagged = notes != ""
+    values = {}
+    for name in outputs:
+        column = columns[name].astype(object) if name in columns else np.empty(cells, object)
+        column[flagged] = None
+        values[name] = column.tolist()
     coords = {name: col.tolist() for name, col in coord_columns.items()}
-    values = {name: columns[name].tolist() for name in outputs}
-    flagged = [False] * cells
-    notes = [""] * cells
-    for k in np.flatnonzero(redo).tolist():
-        cell = {name: col[k] for name, col in coords.items()}
-        try:
-            cell_values = binding.evaluate({**base, **cell}, outputs)
-        except EcodynError as exc:
-            flagged[k] = True
-            notes[k] = str(exc)
-            cell_values = dict.fromkeys(outputs)
-        for name in outputs:
-            values[name][k] = cell_values[name]
-
     metadata = {
         "model": binding.model,
         "kind": "sweep",
@@ -364,9 +351,9 @@ def sweep(
             for a in grid.axes
         ],
         "cells": cells,
-        "flagged": sum(flagged),
+        "flagged": int(flagged.sum()),
     }
-    return SweepResult(coords, values, flagged, notes, metadata)
+    return SweepResult(coords, values, flagged.tolist(), notes.tolist(), metadata)
 
 
 def stability_region(

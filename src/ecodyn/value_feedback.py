@@ -49,10 +49,7 @@ class MarketValueSolution:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.exponent == 1:
-            raise SingularExponent(
-                "exponent 1 has a logarithmic solution, see singular_market_value"
-            )
+        _check_exponent(self.exponent)
 
     @classmethod
     def with_default_coeff(cls, exponent: float) -> "MarketValueSolution":
@@ -62,18 +59,8 @@ class MarketValueSolution:
         form used by the limit analysis: the gap to true value becomes
         (x**exponent + x)/(exponent - 1).
         """
-        if exponent == 1:
-            raise SingularExponent(
-                "exponent 1 has a logarithmic solution, see singular_market_value"
-            )
+        _check_exponent(exponent)
         return cls(exponent, _default_coeff(exponent))
-
-
-def _solution(exponent: float, homog_coeff: float | None) -> MarketValueSolution:
-    """The solution with homog_coeff, or with the default constant when it is None."""
-    if homog_coeff is None:
-        return MarketValueSolution.with_default_coeff(exponent)
-    return MarketValueSolution(exponent, homog_coeff)
 
 
 @dataclass(frozen=True)
@@ -87,6 +74,20 @@ class LimitProbeResult:
 
     points: tuple[tuple[float, float], ...]
     divergent: bool
+
+
+_SINGULAR_NOTE = "exponent 1 has a logarithmic solution, see singular_market_value"
+_TRUE_VALUE_NOTE = "true value must be > 0, got {}"
+
+
+def _check_exponent(exponent: float) -> None:
+    if exponent == 1:
+        raise SingularExponent(_SINGULAR_NOTE)
+
+
+def _check_true_value(x: float) -> None:
+    if x <= 0:
+        raise DomainError(_TRUE_VALUE_NOTE.format(x))
 
 
 # The closed-form arithmetic, written once. The helpers take floats or
@@ -123,15 +124,13 @@ def exponent_from_gains(gains: FeedbackGains) -> float | BalancedFeedback:
 
 def ode_rhs(exponent: float, x: float, y: float) -> float:
     """Right-hand side of the governing equation: exponent * (y/x - 1)."""
-    if x <= 0:
-        raise DomainError(f"true value must be > 0, got {x}")
+    _check_true_value(x)
     return _ode_slope(exponent, x, y)
 
 
 def analytic_market_value(sol: MarketValueSolution, x: float) -> float:
     """Evaluate the closed-form market value at true value ``x``."""
-    if x <= 0:
-        raise DomainError(f"true value must be > 0, got {x}")
+    _check_true_value(x)
     return _power_law(sol.homog_coeff, sol.exponent, x**sol.exponent, x)
 
 
@@ -142,23 +141,20 @@ def closed_form_slope(sol: MarketValueSolution, x: float) -> float:
     homog_coeff * exponent * x**(exponent-1) + exponent/(exponent-1);
     this is the form consistent with the equation itself.
     """
-    if x <= 0:
-        raise DomainError(f"true value must be > 0, got {x}")
+    _check_true_value(x)
     b = sol.exponent
     return sol.homog_coeff * b * x ** (b - 1.0) + b / (b - 1.0)
 
 
 def singular_market_value(homog_coeff: float, x: float) -> float:
     """Closed form for the exponent-1 case: K*x - x*ln(x)."""
-    if x <= 0:
-        raise DomainError(f"true value must be > 0, got {x}")
+    _check_true_value(x)
     return homog_coeff * x - x * math.log(x)
 
 
 def singular_slope(homog_coeff: float, x: float) -> float:
     """Derivative of the exponent-1 closed form: K - ln(x) - 1."""
-    if x <= 0:
-        raise DomainError(f"true value must be > 0, got {x}")
+    _check_true_value(x)
     return homog_coeff - math.log(x) - 1.0
 
 
@@ -177,12 +173,8 @@ def market_gap(exponent: float, true_value: float) -> float:
 
     Equals (x**exponent + x)/(exponent - 1) at true value x.
     """
-    if exponent == 1:
-        raise SingularExponent(
-            "exponent 1 has a logarithmic solution, see singular_market_value"
-        )
-    if true_value <= 0:
-        raise DomainError(f"true value must be > 0, got {true_value}")
+    _check_exponent(exponent)
+    _check_true_value(true_value)
     return (true_value**exponent + true_value) / (exponent - 1.0)
 
 
@@ -194,8 +186,7 @@ def gap_from_gains(gains: FeedbackGains, true_value: float) -> float:
     """
     exponent = exponent_from_gains(gains)
     if isinstance(exponent, BalancedFeedback):
-        if true_value <= 0:
-            raise DomainError(f"true value must be > 0, got {true_value}")
+        _check_true_value(true_value)
         return 0.0
     return market_gap(exponent, true_value)
 
@@ -208,7 +199,6 @@ def limit_probe(true_value: float, exponents: list[float]) -> LimitProbeResult:
     gap grows instead, which the ``divergent`` flag reports. A gap that
     overflows or is not finite raises NumericalFailure.
     """
-    if true_value <= 0:
-        raise DomainError(f"true value must be > 0, got {true_value}")
+    _check_true_value(true_value)
     points = tuple((b, finite("gap", partial(market_gap, b, true_value))) for b in exponents)
     return LimitProbeResult(points, divergent=true_value < 1.0)

@@ -88,6 +88,14 @@ def gross_margin(cs: CostStructure) -> float:
     return margin
 
 
+_WAGE_NOTE = "wage must be > 0, got {}"
+
+
+def _check_wage(wage: float) -> None:
+    if wage <= 0:
+        raise DomainError(_WAGE_NOTE.format(wage))
+
+
 def _profit_ratio(margin, wage, labor_weight):
     """Net profit ratio; takes floats or numpy arrays, so the sweep engine
     evaluates whole wage grids with exactly this expression."""
@@ -103,8 +111,7 @@ def total_cost(cs: CostStructure, wage: float) -> float:
 
 def net_profit(cs: CostStructure, wage: float) -> float:
     """Net profit ratio per sold unit: margin over wage, minus the labor weight."""
-    if wage <= 0:
-        raise DomainError(f"wage must be > 0, got {wage}")
+    _check_wage(wage)
     return _profit_ratio(gross_margin(cs), wage, cs.labor_weight)
 
 
@@ -115,8 +122,7 @@ def profit_derivatives(cs: CostStructure, wage: float) -> tuple[float, float]:
     2*margin/wage^3 (never negative), which is what pins the optimum to
     the wage floor.
     """
-    if wage <= 0:
-        raise DomainError(f"wage must be > 0, got {wage}")
+    _check_wage(wage)
     margin = gross_margin(cs)
     return -margin / wage**2, 2 * margin / wage**3
 

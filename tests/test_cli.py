@@ -483,12 +483,17 @@ def test_writers_match_the_reference_route(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_json_writer_rejects_non_finite_cells(monkeypatch, bad):
+def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
     # the bad cell sits in the second write block
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
     columns = {"x": [0.5, 1.5, 2.5, bad], "y": [1, 2, 3, 4]}
     with pytest.raises(NumericalFailure, match=f"non-finite value {bad!r} as JSON"):
         _written(cli._write_json, columns, {"rows": 4})
+    # --out is removed rather than left holding the first block
+    out = tmp_path / "rows.json"
+    with pytest.raises(NumericalFailure, match=f"non-finite value {bad!r} as JSON"):
+        cli._emit(columns, {"rows": 4}, "json", str(out))
+    assert not out.exists()
     # CSV spells them as repr does
     assert _written(cli._write_csv, columns).splitlines()[-1] == f"{bad!r},4"
 

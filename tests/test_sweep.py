@@ -1,11 +1,10 @@
 import math
 from dataclasses import fields
 
-import numpy as np
 import pytest
 
 from ecodyn.budget_dynamics import BudgetParams, closed_form, stability_report
-from ecodyn.errors import EcodynError, InvariantViolation
+from ecodyn.errors import EcodynError, InvariantViolation, NumericalFailure, finite
 from ecodyn.sweep import (
     BINDINGS,
     Axis,
@@ -248,19 +247,20 @@ def test_stability_boundary_sits_at_the_analytic_bound():
 # -- columnar engine against the scalar model calls -------------------------
 #
 # The reference evaluates one cell at a time through the public model
-# functions. Clean cells must match it exactly (== and repr, so types and
-# signed zeros count too); rejected cells must carry the exception text as
-# their note, and cells whose outputs are not finite must be flagged as
-# numerical failures.
+# functions, with errors.finite around each output as the sweep documents.
+# Clean cells must match it exactly (== and repr, so types and signed zeros
+# count too), and a flagged cell's note must be the text of the exception
+# the reference raises there.
 
 
 def _budget_reference(params, outputs):
     mode = params.get("mode", "direct")
     budget = BudgetParams(**{f.name: params[f.name] for f in fields(BudgetParams)})
     report = stability_report(budget, mode)
-    values = {"pole": report.pole, "stable": report.stable}
+    values = {"pole": finite("pole", lambda: report.pole), "stable": report.stable}
     if "final_pool" in outputs:
-        values["final_pool"] = closed_form(budget, int(params.get("horizon", 10)), mode)
+        horizon = params.get("horizon", 10)
+        values["final_pool"] = finite("final_pool", lambda: closed_form(budget, horizon, mode))
     return values
 
 
@@ -269,8 +269,9 @@ def _value_reference(params, outputs):
         sol = MarketValueSolution(params["exponent"], params["homog_coeff"])
     else:
         sol = MarketValueSolution.with_default_coeff(params["exponent"])
-    market = analytic_market_value(sol, params["true_value"])
-    return {"market_value": market, "gap": market - params["true_value"]}
+    x = params["true_value"]
+    market = finite("market_value", lambda: analytic_market_value(sol, x))
+    return {"market_value": market, "gap": finite("gap", lambda: market - x)}
 
 
 def _wage_reference(params, outputs):
@@ -279,7 +280,7 @@ def _wage_reference(params, outputs):
         params["labor_weight"],
         tuple(tuple(pair) for pair in params.get("other_factors", ())),
     )
-    return {"net_profit": net_profit(cs, params["wage"])}
+    return {"net_profit": finite("net_profit", lambda: net_profit(cs, params["wage"]))}
 
 
 REFERENCES = {"budget": _budget_reference, "value": _value_reference, "wage": _wage_reference}
@@ -288,51 +289,52 @@ REFERENCES = {"budget": _budget_reference, "value": _value_reference, "wage": _w
 def assert_matches_scalar(model, base, grid, outputs=None):
     """Check every cell against the reference; return the kinds of cell seen.
 
-    A clean cell is "clean" when the columns computed it and "clean
-    (scalar)" when the engine sent it down the one-cell path.
+    A clean cell is "pole 1" when its final_pool comes from closed_form's
+    limit branch, and a flagged cell is "non-finite" when the reference
+    raises NumericalFailure there.
     """
-    binding = BINDINGS[model]
-    result = sweep(binding, base, grid, outputs)
-    outputs = outputs or binding.outputs
-    with np.errstate(all="ignore"):
-        _, redo = binding.evaluate_columns({**base, **grid.columns()}, grid.cells, outputs)
+    result = sweep(BINDINGS[model], base, grid, outputs)
+    outputs = outputs or BINDINGS[model].outputs
     assert result.coords == {name: column.tolist() for name, column in grid.columns().items()}
     kinds = set()
-    for k, scalar_path in enumerate(redo):
+    for k, (flagged, note) in enumerate(zip(result.flagged, result.notes)):
         coords = {name: column[k] for name, column in result.coords.items()}
         cell_outputs = {name: column[k] for name, column in result.outputs.items()}
-        flagged, note = result.flagged[k], result.notes[k]
         try:
             values = REFERENCES[model]({**base, **coords}, outputs)
         except EcodynError as exc:
             assert flagged and note == str(exc)
             assert all(value is None for value in cell_outputs.values())
-            kinds.add("rejected")
+            kinds.add("non-finite" if isinstance(exc, NumericalFailure) else "rejected")
             continue
         expected = {name: values[name] for name in outputs}
-        bad = [n for n, v in expected.items() if isinstance(v, float) and not math.isfinite(v)]
-        if bad:
-            assert flagged and note == f"{bad[0]} is not finite: {expected[bad[0]]!r}"
-            kinds.add("non-finite")
-            continue
         assert not flagged and note == ""
         assert cell_outputs == expected
+        if "final_pool" in outputs and expected["pole"] == 1.0:
+            # sweep columns are floats; closed_form's limit keeps integer inputs' type
+            expected["final_pool"] = float(expected["final_pool"])
+            kinds.add("pole 1")
+        else:
+            kinds.add("clean")
         assert repr(cell_outputs) == repr(expected)
-        kinds.add("clean (scalar)" if scalar_path else "clean")
     assert result.metadata["flagged"] == sum(result.flagged)
     return kinds
 
 
+def _notes(model, base, grid):
+    return set(sweep(BINDINGS[model], base, grid).notes)
+
+
 def test_columnar_budget_sweep_matches_scalar_model():
     # spending_split crosses 1 and tax_rate reaches 1, where the direct pole
-    # is exactly 1 and closed_form takes its limit branch on the scalar path
+    # is exactly 1 and the columns take closed_form's limit W0 + n * flow
     grid = ParamGrid(
         (Axis("spending_split", 0.5, 1.5, 11), Axis("tax_rate", 0.0, 1.0, 11))
     )
     for horizon in (0, 1, 25):
         base = {**BUDGET_BASE, "horizon": horizon}
         kinds = assert_matches_scalar("budget", base, grid)
-        assert kinds == {"clean", "clean (scalar)", "rejected"}
+        assert kinds == {"clean", "pole 1", "rejected"}
         kinds = assert_matches_scalar("budget", base, grid, ("pole", "stable"))
         assert kinds == {"clean", "rejected"}
     # invest_share crosses 0 in incremental mode
@@ -341,11 +343,18 @@ def test_columnar_budget_sweep_matches_scalar_model():
     )
     base = {**BUDGET_BASE, "mode": "incremental", "horizon": 50}
     assert assert_matches_scalar("budget", base, grid) == {"clean", "rejected"}
-    # integer inputs at pole exactly 1 keep the closed form's integer result
+    # integer inputs at pole exactly 1: the closed form returns an int, the
+    # sweep the equal float
     grid = ParamGrid((Axis("tax_rate", 0.0, 1.0, 3),))
     ints = {**dict.fromkeys(BUDGET_BASE, 0), "spending_split": 1}
     ints.update(gov_spending=100, initial_wages=1000)
-    assert assert_matches_scalar("budget", ints, grid) == {"clean", "clean (scalar)"}
+    assert assert_matches_scalar("budget", ints, grid) == {"clean", "pole 1"}
+    final_pool = sweep(BINDINGS["budget"], {**ints, "horizon": 5}, grid).outputs["final_pool"]
+    assert repr(final_pool) == "[-100.0, -162.5, 500.0]"
+    # an out-of-range integer base value is quoted as given
+    two = {**ints, "spending_split": 2}
+    assert assert_matches_scalar("budget", two, grid) == {"rejected"}
+    assert _notes("budget", two, grid) == {"spending_split must lie in [0, 1], got 2"}
     # initial_wages and gov_spending cross 0, the open and the closed end of
     # their declared bounds
     edges = ParamGrid(
@@ -364,34 +373,101 @@ def test_columnar_budget_sweep_matches_scalar_model():
         -500.0, -400.0, -300.0, -200.0, -100.0, 0.0
     }
     assert {spending for wages, spending in rejected if wages > 0} == {-100.0, -50.0}
-    # a NaN base value, a bad mode and a negative horizon reject every cell
+    # a NaN base value, a bad mode and a negative horizon reject every cell,
+    # and a horizon past the float range overflows every cell
     for bad in ({"gov_spending": math.nan}, {"mode": "sideways"}, {"horizon": -1}):
         assert assert_matches_scalar("budget", {**BUDGET_BASE, **bad}, grid) == {"rejected"}
+    huge = {**BUDGET_BASE, "horizon": 10**400}
+    assert assert_matches_scalar("budget", huge, grid) == {"non-finite"}
+    # a rejected field comes before a bad mode or a negative horizon
+    split = ParamGrid((Axis("spending_split", 0.5, 1.5, 5),))
+    field = "spending_split must lie in [0, 1], got "
+    for bad, note in (
+        ({"mode": "sideways"}, "mode must be one of ('direct', 'incremental'), got 'sideways'"),
+        ({"horizon": -1}, "year count must be >= 0, got -1"),
+    ):
+        base = {**BUDGET_BASE, **bad}
+        assert assert_matches_scalar("budget", base, split) == {"rejected"}
+        assert _notes("budget", base, split) == {note, field + "1.25", field + "1.5"}
 
 
 def test_columnar_value_sweep_matches_scalar_model():
     # exponent hits 1 and true_value crosses 0
     grid = ParamGrid((Axis("exponent", -1.0, 3.0, 9), Axis("true_value", -1.0, 2.0, 7)))
-    assert assert_matches_scalar("value", {}, grid) == {"clean", "rejected"}
-    assert assert_matches_scalar("value", {"homog_coeff": -0.5}, grid) == {"clean", "rejected"}
+    for base in ({}, {"homog_coeff": -0.5}):
+        assert assert_matches_scalar("value", base, grid) == {"clean", "rejected"}
+        # exponent 1 with true_value <= 0: the exponent is checked first
+        notes = sweep(BINDINGS["value"], base, grid).notes
+        singular = "exponent 1 has a logarithmic solution, see singular_market_value"
+        assert notes[4 * 7 : 4 * 7 + 3] == [singular] * 3
     grid = ParamGrid((Axis("exponent", -1.0, 3.0, 9),))
     assert assert_matches_scalar("value", {"true_value": math.nan}, grid) == {
         "non-finite",
         "rejected",
     }
+    # an infinite homog_coeff comes before exponent 1 and true_value <= 0
+    for x in (2.0, -1.0):
+        base = {"true_value": x, "homog_coeff": math.inf}
+        assert assert_matches_scalar("value", base, grid) == {"rejected"}
+        assert _notes("value", base, grid) == {"homog_coeff must be finite, got inf"}
+    # a NaN exponent with the default constant comes before true_value <= 0
+    grid = ParamGrid((Axis("true_value", -1.0, 2.0, 4),))
+    assert assert_matches_scalar("value", {"exponent": math.nan}, grid) == {"rejected"}
+    assert _notes("value", {"exponent": math.nan}, grid) == {"exponent must be finite, got nan"}
 
 
 def test_columnar_wage_sweep_matches_scalar_model():
     base = {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": [[0.5, 4.0]]}
     grid = ParamGrid((Axis("wage", -2.0, 4.0, 13),))
     assert assert_matches_scalar("wage", base, grid) == {"clean", "rejected"}
-    # integer inputs, and a nonpositive margin that rejects every cell
+    # integer inputs, and a nonpositive margin, which comes after wage <= 0
     assert assert_matches_scalar("wage", {"max_market_price": 10, "labor_weight": 1}, grid) == {
         "clean",
         "rejected",
     }
     no_margin = {**base, "other_factors": [[0.5, 30.0]]}
     assert assert_matches_scalar("wage", no_margin, grid) == {"rejected"}
+    notes = sweep(BINDINGS["wage"], no_margin, grid).notes
+    margin = "non-labor cost absorbs the whole selling price (margin -5.0)"
+    assert notes[4:6] == ["wage must be > 0, got 0.0", margin]
+    # a rejected cost structure rejects every cell, wage <= 0 included
+    bad_weights = {**base, "labor_weight": 0.25}
+    assert assert_matches_scalar("wage", bad_weights, grid) == {"rejected"}
+    assert len(_notes("wage", bad_weights, grid)) == 1
+
+
+def test_sweep_builds_no_model_object_per_cell(monkeypatch):
+    # rejected cells get their notes from the column masks, so a sweep
+    # builds the same few model objects however many cells it rejects
+    built = []
+    for cls in (BudgetParams, MarketValueSolution, CostStructure):
+
+        def counting(self, check=cls.__post_init__):
+            built.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    def constructions(points):
+        built.clear()
+        budget = ParamGrid(
+            (Axis("spending_split", 0.0, 1.25, points), Axis("tax_rate", 0.0, 1.0, points))
+        )
+        flagged = sweep(BINDINGS["budget"], BUDGET_BASE, budget).metadata["flagged"]
+        value = ParamGrid((Axis("exponent", -1.0, 3.0, points), Axis("true_value", -1.0, 2.0, 9)))
+        flagged += sweep(BINDINGS["value"], {}, value).metadata["flagged"]
+        wage = ParamGrid((Axis("wage", -2.0, 4.0, points),))
+        wage_base = {"max_market_price": 10.0, "labor_weight": 1.0}
+        flagged += sweep(BINDINGS["wage"], wage_base, wage).metadata["flagged"]
+        return len(built), flagged
+
+    few, few_flagged = constructions(5)
+    many, many_flagged = constructions(200)
+    assert many_flagged >= 8000 + few_flagged
+    assert many == few <= 1
+    # the counter sees the objects a scalar call builds
+    _budget_reference(BUDGET_BASE, ("pole",))
+    assert built[-1] == "BudgetParams"
 
 
 def test_overflowing_cells_are_flagged_not_raised():
