@@ -72,6 +72,19 @@ def test_sweep_region_golden(capsys):
     assert "swept 9 cells" in err
 
 
+def test_sweep_budget_golden(capsys):
+    # flagged rows leave empty CSV cells and drop their output keys in JSON,
+    # and the last tax_rate coordinate is -0.0
+    argv = ["sweep", "--config", str(DATA / "sweep_budget.json")]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0
+    assert out == (GOLDEN / "sweep_budget.csv").read_text()
+    assert "swept 30 cells" in err and "27 flagged" in err
+    rc, out, _ = run([*argv, "--format", "json"], capsys)
+    assert rc == 0
+    assert out == (GOLDEN / "sweep_budget.json").read_text()
+
+
 def test_budget_json_structure(capsys):
     rc, out, _ = run(
         ["budget", "--config", str(DATA / "budget_direct.json"), "--format", "json"],
