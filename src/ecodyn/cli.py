@@ -215,7 +215,11 @@ def _emit(
         write(stream=sys.stdout)
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise InvariantViolation(f"cannot write output {out!r}: {exc}") from exc
+    try:
+        with fh:
             write(stream=fh)
     except EcodynError:
         os.remove(out)

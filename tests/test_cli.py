@@ -421,6 +421,11 @@ BAD_CONFIGS = {
         2,
         "second_derivative is not finite: inf",
     ),
+    "output-path-in-missing-directory": (
+        {"budget": BUDGET, "output": {"path": str(DATA / "no_such_dir" / "rows.csv")}},
+        1,
+        "cannot write output",
+    ),
 }
 
 
