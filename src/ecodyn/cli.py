@@ -20,9 +20,10 @@ import io
 import json
 import os
 import sys
-from dataclasses import MISSING
+from dataclasses import MISSING, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
+from operator import is_not
 from typing import IO, Any, Callable, Iterator
 
 import numpy as np
@@ -106,11 +107,39 @@ _NONFINITE = frozenset(("nan", "inf", "-inf"))
 def _encode(
     values: list[Any], encoders: dict[type, Callable[[Any], str]], other: Callable[[Any], str]
 ) -> list[str]:
+    """Each value as text. A column of one type, or of one type with None
+    holes, encodes its values in one map() call."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
         return list(map(encoders.get(kinds.pop(), other), values))
+    if len(kinds) == 2 and type(None) in kinds:
+        hole = encoders[type(None)](None)
+        kinds.remove(type(None))
+        cells = map(encoders.get(kinds.pop(), other), filter(partial(is_not, None), values))
+        return [hole if v is None else next(cells) for v in values]
     return [encoders.get(type(v), other)(v) for v in values]
 
+
+@dataclass(frozen=True)
+class _Indexed:
+    """A column held as a list of values and, for each row, the position
+    of its value there; a sweep's coordinates are one axis grid each."""
+
+    values: list[Any]
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+Columns = dict[str, list[Any] | _Indexed]
+
+
+def _coordinates(grid: ParamGrid) -> dict[str, _Indexed]:
+    """The grid's coordinate columns, each as its axis grid and an index,
+    so the writers encode every axis value once."""
+    indices = grid.indices().values()
+    return {a.name: _Indexed(a.grid(), index) for a, index in zip(grid.axes, indices)}
 
 # Rows are encoded and written a block at a time, so a large table never
 # holds all of its encoded text in memory at once.
@@ -118,24 +147,37 @@ _BLOCK_ROWS = 4096
 
 
 def _row_blocks(
-    columns: dict[str, list[Any]], holes: list[bool] | None = None
-) -> Iterator[tuple[list[list[Any]], list[bool] | None]]:
+    columns: Columns, encode: Callable[[list[Any]], list[str]], holes: list[bool] | None = None
+) -> Iterator[tuple[list[list[str]], list[bool] | None]]:
+    """Each block of rows as its cells' text, column by column, with its
+    slice of holes. An indexed column's values are encoded once, and a
+    block gathers their text through its slice of the index."""
+    texts = {
+        name: np.array(encode(column.values), dtype=object)
+        for name, column in columns.items()
+        if isinstance(column, _Indexed)
+    }
     rows = len(next(iter(columns.values()), ()))
     for start in range(0, rows, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        block = [values[start:stop] for values in columns.values()]
+        block = [
+            texts[name][column.index[start:stop]].tolist()
+            if name in texts
+            else encode(column[start:stop])
+            for name, column in columns.items()
+        ]
         yield block, None if holes is None else holes[start:stop]
 
 
-def _write_csv(columns: dict[str, list[Any]], stream: IO[str]) -> None:
+def _write_csv(columns: Columns, stream: IO[str]) -> None:
     """Write a header and one line per row, as csv.writer would.
 
     Every table here has at least two columns, so csv's special case of
     a row made of one empty field never arises.
     """
     stream.write(",".join(map(_csv_quoted, columns)) + "\n")
-    for block, _ in _row_blocks(columns):
-        encoded = [_encode(values, _CSV_CELL, _csv_other) for values in block]
+    encode = partial(_encode, encoders=_CSV_CELL, other=_csv_other)
+    for encoded, _ in _row_blocks(columns, encode):
         stream.write("\n".join(map(",".join, zip(*encoded))) + "\n")
 
 
@@ -158,7 +200,7 @@ def _json_row(names: list[str], leave_out: tuple[str, ...]) -> str:
 
 
 def _write_json(
-    columns: dict[str, list[Any]],
+    columns: Columns,
     metadata: dict[str, Any],
     stream: IO[str],
     holes: list[bool] | None = None,
@@ -179,8 +221,7 @@ def _write_json(
     holed = _json_row(names, sparse).format
     stream.write(head[: head.rindex("[]")] + "[\n")
     separator = ""
-    for block, block_holes in _row_blocks(columns, holes):
-        encoded = [_json_column(values) for values in block]
+    for encoded, block_holes in _row_blocks(columns, _json_column, holes):
         if block_holes is None:
             rows = map(full, *encoded)
         else:
@@ -194,7 +235,7 @@ def _write_json(
 
 
 def _emit(
-    columns: dict[str, list[Any]],
+    columns: Columns,
     metadata: dict[str, Any],
     fmt: str,
     out: str | None,
@@ -507,7 +548,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         f"swept {result.metadata['cells']} cells over {list(result.coords)}; "
         f"{flagged} flagged"
     )
-    columns = {**result.coords, **result.outputs, "flagged": result.flagged}
+    columns: Columns = {**_coordinates(grid), **result.outputs, "flagged": result.flagged}
     if fmt == "json":
         columns["note"] = result.notes
     _emit(columns, result.metadata, fmt, out, result.flagged, tuple(result.outputs))

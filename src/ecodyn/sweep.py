@@ -76,15 +76,20 @@ class ParamGrid:
             n *= a.points
         return n
 
-    def columns(self) -> dict[str, np.ndarray]:
-        """One coordinate column per axis, one entry per cell, row-major."""
-        columns = {}
+    def indices(self) -> dict[str, np.ndarray]:
+        """Per axis, the position in its grid of each cell's coordinate, row-major."""
+        indices = {}
         inner, outer = self.cells, 1
         for a in self.axes:
             inner //= a.points
-            columns[a.name] = np.tile(np.repeat(a.grid(), inner), outer)
+            indices[a.name] = np.tile(np.repeat(np.arange(a.points), inner), outer)
             outer *= a.points
-        return columns
+        return indices
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """One coordinate column per axis, one entry per cell, row-major."""
+        indices = self.indices().values()
+        return {a.name: np.array(a.grid())[index] for a, index in zip(self.axes, indices)}
 
 
 @dataclass(frozen=True)

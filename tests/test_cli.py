@@ -499,6 +499,37 @@ def test_writers_match_the_reference_route(monkeypatch):
     assert _written(cli._write_csv, empty) == _reference_csv(["a", "b"], [])
     assert _written(cli._write_json, empty, metadata) == _reference_json([], metadata)
 
+    # coordinates as axis grids plus a row-major index: three axes, one of a
+    # single point, -0.0 ending one axis and 0.0 starting another, and
+    # blocks of 4 rows, which divide no axis
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    grid = ParamGrid((Axis("a", -1.0, -0.0, 3), Axis("one", 2.5, 2.5, 1), Axis("b", 0.0, 1.0, 3)))
+    columns = cli._coordinates(grid)
+    # holes in the first and the last row of every block
+    holes = [k % 4 in (0, 3) or k == 8 for k in range(grid.cells)]
+    columns.update(
+        {
+            "pole": [None if hole else k / 7 for k, hole in enumerate(holes)],
+            "stable": [None if hole else k % 3 == 1 for k, hole in enumerate(holes)],
+            "unset": [None] * grid.cells,
+            "f64": [np.float64(k) / 3 for k in range(grid.cells)],
+            "mixed": [None, 1, 2.5, "x", True, np.float64(-0.0), 0.0, "", 7],
+            "flagged": holes,
+        }
+    )
+    plain = {name: column.tolist() for name, column in grid.columns().items()}
+    assert plain["a"][-1] == 0.0 and math.copysign(1.0, plain["a"][-1]) == -1.0
+    rows = [dict(zip(columns, values)) for values in zip(*{**columns, **plain}.values())]
+    assert _written(cli._write_csv, columns) == _reference_csv(list(columns), rows)
+    sparse = ("pole", "stable", "unset")
+    json_rows = [
+        {k: v for k, v in row.items() if not (hole and k in sparse)}
+        for row, hole in zip(rows, holes)
+    ]
+    written = io.StringIO()
+    cli._write_json(columns, metadata, written, holes, sparse)
+    assert written.getvalue() == _reference_json(json_rows, metadata)
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
@@ -516,37 +547,87 @@ def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
     assert _written(cli._write_csv, columns).splitlines()[-1] == f"{bad!r},4"
 
 
+RECORD_ROUTE_SWEEPS = [
+    # value: flagged cells for a nonpositive true value and the singular exponent
+    (
+        "value",
+        {"true_value": 2.0, "homog_coeff": 0.5},
+        [("exponent", -1.0, 3.0, 5), ("true_value", -1.0, 2.0, 4)],
+    ),
+    # budget on three axes: one of a single point, tax_rate ending in -0.0
+    # (its other rows flagged) and invest_share starting at 0.0
+    (
+        "budget",
+        {**BUDGET, "mode": "incremental", "horizon": 20},
+        [
+            ("tax_rate", -0.5, -0.0, 3),
+            ("foreign_multiplier", 0.2, 0.2, 1),
+            ("invest_share", 0.0, 1.0, 4),
+        ],
+    ),
+]
+
+
 def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
     # flagged rows drop their output keys in JSON and leave empty CSV cells
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
-    base = {"true_value": 2.0, "homog_coeff": 0.5}
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)  # divides no axis
+    for model, base, axes in RECORD_ROUTE_SWEEPS:
+        cfg = {
+            "sweep": {
+                "model": model,
+                "base": base,
+                "axes": [
+                    {"name": name, "min": lo, "max": hi, "points": n} for name, lo, hi, n in axes
+                ],
+            }
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        grid = ParamGrid(tuple(Axis(*axis) for axis in axes))
+        result = sweep(BINDINGS[model], base, grid)
+        assert 0 < result.metadata["flagged"] < grid.cells
+        columns = [*result.coords, *result.outputs, "flagged"]
+        rows = []
+        for k, flagged in enumerate(result.flagged):
+            row = {name: column[k] for name, column in result.coords.items()}
+            if not flagged:
+                row.update({name: column[k] for name, column in result.outputs.items()})
+            rows.append({**row, "flagged": flagged})
+        json_rows = [{**row, "note": note} for row, note in zip(rows, result.notes)]
+        rc, out, _ = run(["sweep", "--config", str(path)], capsys)
+        assert rc == 0 and out == _reference_csv(columns, rows)
+        rc, out, _ = run(["sweep", "--config", str(path), "--format", "json"], capsys)
+        assert rc == 0 and out == _reference_json(json_rows, result.metadata)
+
+
+def test_sweep_writers_format_each_axis_value_once(tmp_path, capsys, monkeypatch):
+    formatted = []
+    for encoders in (cli._CSV_CELL, cli._JSON_VALUE):
+
+        def counted(v, encode=encoders[float]):
+            formatted.append(v)
+            return encode(v)
+
+        monkeypatch.setitem(encoders, float, counted)
     cfg = {
         "sweep": {
-            "model": "value",
-            "base": base,
+            "model": "budget",
+            "kind": "stability_region",
+            "base": BUDGET,
             "axes": [
-                {"name": "exponent", "min": -1.0, "max": 3.0, "points": 5},
-                {"name": "true_value", "min": -1.0, "max": 2.0, "points": 4},
+                {"name": "tax_rate", "min": 0.0, "max": 1.0, "points": 40},
+                {"name": "invest_share", "min": 0.0, "max": 2.0, "points": 30},
             ],
         }
     }
-    path = tmp_path / "value_sweep.json"
+    path = tmp_path / "region.json"
     path.write_text(json.dumps(cfg))
-    grid = ParamGrid((Axis("exponent", -1.0, 3.0, 5), Axis("true_value", -1.0, 2.0, 4)))
-    result = sweep(BINDINGS["value"], base, grid)
-    assert 0 < result.metadata["flagged"] < grid.cells
-    columns = ["exponent", "true_value", "market_value", "gap", "flagged"]
-    rows = []
-    for k, flagged in enumerate(result.flagged):
-        row = {name: column[k] for name, column in result.coords.items()}
-        if not flagged:
-            row.update({name: column[k] for name, column in result.outputs.items()})
-        rows.append({**row, "flagged": flagged})
-    json_rows = [{**row, "note": note} for row, note in zip(rows, result.notes)]
-    rc, out, _ = run(["sweep", "--config", str(path)], capsys)
-    assert rc == 0 and out == _reference_csv(columns, rows)
-    rc, out, _ = run(["sweep", "--config", str(path), "--format", "json"], capsys)
-    assert rc == 0 and out == _reference_json(json_rows, result.metadata)
+    for fmt in ("csv", "json"):
+        formatted.clear()
+        rc, _, err = run(["sweep", "--config", str(path), "--format", fmt], capsys)
+        assert rc == 0 and "; 0 flagged" in err
+        # each axis point once, then the pole of each cell
+        assert len(formatted) == 40 + 30 + 1200
 
 
 def test_verify_config_tolerances(tmp_path, capsys):
