@@ -122,8 +122,8 @@ def _encode(
 
 @dataclass(frozen=True)
 class _Indexed:
-    """A column held as a list of values and, for each row, the position
-    of its value there; a sweep's coordinates are one axis grid each."""
+    """A column given as a list of values and, for each row, the position
+    of the row's value in that list; the writers encode each value once."""
 
     values: list[Any]
     index: np.ndarray
@@ -132,14 +132,14 @@ class _Indexed:
         return len(self.index)
 
 
-Columns = dict[str, list[Any] | _Indexed]
+_Columns = dict[str, list[Any] | _Indexed]
 
 
 def _coordinates(grid: ParamGrid) -> dict[str, _Indexed]:
-    """The grid's coordinate columns, each as its axis grid and an index,
-    so the writers encode every axis value once."""
+    """The grid's coordinate columns, each as its axis grid and an index."""
     indices = grid.indices().values()
     return {a.name: _Indexed(a.grid(), index) for a, index in zip(grid.axes, indices)}
+
 
 # Rows are encoded and written a block at a time, so a large table never
 # holds all of its encoded text in memory at once.
@@ -147,7 +147,7 @@ _BLOCK_ROWS = 4096
 
 
 def _row_blocks(
-    columns: Columns, encode: Callable[[list[Any]], list[str]], holes: list[bool] | None = None
+    columns: _Columns, encode: Callable[[list[Any]], list[str]], holes: list[bool] | None = None
 ) -> Iterator[tuple[list[list[str]], list[bool] | None]]:
     """Each block of rows as its cells' text, column by column, with its
     slice of holes. An indexed column's values are encoded once, and a
@@ -169,7 +169,7 @@ def _row_blocks(
         yield block, None if holes is None else holes[start:stop]
 
 
-def _write_csv(columns: Columns, stream: IO[str]) -> None:
+def _write_csv(columns: _Columns, stream: IO[str]) -> None:
     """Write a header and one line per row, as csv.writer would.
 
     Every table here has at least two columns, so csv's special case of
@@ -200,7 +200,7 @@ def _json_row(names: list[str], leave_out: tuple[str, ...]) -> str:
 
 
 def _write_json(
-    columns: Columns,
+    columns: _Columns,
     metadata: dict[str, Any],
     stream: IO[str],
     holes: list[bool] | None = None,
@@ -235,7 +235,7 @@ def _write_json(
 
 
 def _emit(
-    columns: Columns,
+    columns: _Columns,
     metadata: dict[str, Any],
     fmt: str,
     out: str | None,
@@ -548,7 +548,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         f"swept {result.metadata['cells']} cells over {list(result.coords)}; "
         f"{flagged} flagged"
     )
-    columns: Columns = {**_coordinates(grid), **result.outputs, "flagged": result.flagged}
+    columns: _Columns = {**_coordinates(grid), **result.outputs, "flagged": result.flagged}
     if fmt == "json":
         columns["note"] = result.notes
     _emit(columns, result.metadata, fmt, out, result.flagged, tuple(result.outputs))
