@@ -136,7 +136,10 @@ _Columns = dict[str, list[Any] | _Indexed]
 
 
 def _coordinates(grid: ParamGrid) -> dict[str, _Indexed]:
-    """The grid's coordinate columns, each as its axis grid and an index."""
+    """The grid's coordinate columns, each as its axis grid and an index.
+
+    Grid values are never merged by equality: 0.0 == -0.0, but repr
+    tells them apart."""
     indices = grid.indices().values()
     return {a.name: _Indexed(a.grid(), index) for a, index in zip(grid.axes, indices)}
 
