@@ -553,6 +553,7 @@ RECORD_ROUTE_SWEEPS = [
         "value",
         {"true_value": 2.0, "homog_coeff": 0.5},
         [("exponent", -1.0, 3.0, 5), ("true_value", -1.0, 2.0, 4)],
+        ["exponent", "true_value", "market_value", "gap", "flagged"],
     ),
     # budget on three axes: one of a single point, tax_rate ending in -0.0
     # (its other rows flagged) and invest_share starting at 0.0
@@ -564,6 +565,15 @@ RECORD_ROUTE_SWEEPS = [
             ("foreign_multiplier", 0.2, 0.2, 1),
             ("invest_share", 0.0, 1.0, 4),
         ],
+        [
+            "tax_rate",
+            "foreign_multiplier",
+            "invest_share",
+            "pole",
+            "stable",
+            "final_pool",
+            "flagged",
+        ],
     ),
 ]
 
@@ -571,7 +581,7 @@ RECORD_ROUTE_SWEEPS = [
 def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
     # flagged rows drop their output keys in JSON and leave empty CSV cells
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)  # divides no axis
-    for model, base, axes in RECORD_ROUTE_SWEEPS:
+    for model, base, axes, columns in RECORD_ROUTE_SWEEPS:
         cfg = {
             "sweep": {
                 "model": model,
@@ -586,13 +596,12 @@ def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
         grid = ParamGrid(tuple(Axis(*axis) for axis in axes))
         result = sweep(BINDINGS[model], base, grid)
         assert 0 < result.metadata["flagged"] < grid.cells
-        columns = [*result.coords, *result.outputs, "flagged"]
-        rows = []
-        for k, flagged in enumerate(result.flagged):
-            row = {name: column[k] for name, column in result.coords.items()}
-            if not flagged:
-                row.update({name: column[k] for name, column in result.outputs.items()})
-            rows.append({**row, "flagged": flagged})
+        # the expected columns, in order, come from the literal list
+        values = {**result.coords, **result.outputs, "flagged": result.flagged}
+        rows = [
+            {name: values[name][k] for name in columns if not (flagged and name in result.outputs)}
+            for k, flagged in enumerate(result.flagged)
+        ]
         json_rows = [{**row, "note": note} for row, note in zip(rows, result.notes)]
         rc, out, _ = run(["sweep", "--config", str(path)], capsys)
         assert rc == 0 and out == _reference_csv(columns, rows)
