@@ -23,7 +23,6 @@ import sys
 from dataclasses import MISSING, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from operator import is_not
 from typing import IO, Any, Callable, Iterator
 
 import numpy as np
@@ -107,16 +106,9 @@ _NONFINITE = frozenset(("nan", "inf", "-inf"))
 def _encode(
     values: list[Any], encoders: dict[type, Callable[[Any], str]], other: Callable[[Any], str]
 ) -> list[str]:
-    """Each value as text. A column of one type, or of one type with None
-    holes, encodes its values in one map() call."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
         return list(map(encoders.get(kinds.pop(), other), values))
-    if len(kinds) == 2 and type(None) in kinds:
-        hole = encoders[type(None)](None)
-        kinds.remove(type(None))
-        cells = map(encoders.get(kinds.pop(), other), filter(partial(is_not, None), values))
-        return [hole if v is None else next(cells) for v in values]
     return [encoders.get(type(v), other)(v) for v in values]
 
 
