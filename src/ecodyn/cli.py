@@ -65,12 +65,15 @@ def _section(cfg: dict[str, Any], name: str, default: Any = MISSING) -> dict[str
     return section
 
 
-def _grid_values(section: dict[str, Any], key: str = "grid") -> list[float]:
-    spec = section.get(key)
+def _axis(name: str, spec: dict[str, Any]) -> Axis:
+    return Axis(name, number(spec, "min"), number(spec, "max"), integer(spec, "points"))
+
+
+def _grid_values(section: dict[str, Any]) -> list[float]:
+    spec = section.get("grid")
     if not isinstance(spec, dict):
-        raise InvariantViolation(f"section needs a {key!r} object with min/max/points")
-    axis = Axis("grid", number(spec, "min"), number(spec, "max"), integer(spec, "points"))
-    return axis.grid()
+        raise InvariantViolation("section needs a 'grid' object with min/max/points")
+    return _axis("grid", spec).grid()
 
 
 def _csv_quoted(text: str) -> str:
@@ -271,12 +274,6 @@ def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str,
     return fmt, out
 
 
-def _profit_derivatives(cs: wp.CostStructure, wage: float) -> tuple[float, float]:
-    """Both profit derivatives at wage; one that leaves the float range is a NumericalFailure."""
-    first = finite("first_derivative", lambda: wp.profit_derivatives(cs, wage)[0])
-    return first, finite("second_derivative", lambda: wp.profit_derivatives(cs, wage)[1])
-
-
 def _run_wage(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "wage")
@@ -298,7 +295,7 @@ def _run_wage(args: argparse.Namespace) -> int:
             _say(f"optimal wage: {best.wage!r}, net profit {profit!r}")
             sign_at = best.wage
     if sign_at is not None:
-        d1, d2 = _profit_derivatives(cs, sign_at)
+        d1, d2 = wp.profit_derivatives(cs, sign_at)
 
         def describe(d: float) -> str:
             return "negative" if d < 0 else "zero" if d == 0 else "positive"
@@ -310,7 +307,7 @@ def _run_wage(args: argparse.Namespace) -> int:
 
     if "grid" in sec:
         points = wp.profit_curve(cs, wages)
-        derivatives = [_profit_derivatives(cs, point.wage) for point in points]
+        derivatives = [wp.profit_derivatives(cs, point.wage) for point in points]
         columns = {
             "wage": [point.wage for point in points],
             "net_profit": [finite("net_profit", lambda: point.net_profit) for point in points],
@@ -519,9 +516,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     for spec in axes_spec:
         if not isinstance(spec, dict) or "name" not in spec:
             raise InvariantViolation("each axis needs name/min/max/points")
-        axes.append(
-            Axis(str(spec["name"]), number(spec, "min"), number(spec, "max"), integer(spec, "points"))
-        )
+        axes.append(_axis(str(spec["name"]), spec))
     grid = ParamGrid(tuple(axes))
     kind = sec.get("kind", "sweep")
 
@@ -540,7 +535,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             f"all {flagged} cells were rejected; first cell: {result.notes[0]}"
         )
     _say(
-        f"swept {result.metadata['cells']} cells over {list(result.coords)}; "
+        f"swept {result.metadata['cells']} cells over {[a.name for a in grid.axes]}; "
         f"{flagged} flagged"
     )
     columns: _Columns = {**_coordinates(grid), **result.outputs, "flagged": result.flagged}
@@ -740,7 +735,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does; with stdout on
+        # devnull the interpreter's own flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

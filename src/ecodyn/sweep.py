@@ -43,8 +43,12 @@ class Axis:
             raise InvariantViolation("axis name must be non-empty")
         if self.points < 1:
             raise InvariantViolation(f"axis needs at least 1 point, got {self.points}")
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise InvariantViolation("axis bounds must be finite")
+        # a non-finite bound makes the span non-finite too
+        if not math.isfinite(self.upper - self.lower):
+            raise InvariantViolation(
+                f"axis {self.name!r} needs finite bounds and a finite span, got "
+                f"[{self.lower}, {self.upper}]"
+            )
         if self.points > 1 and not self.lower < self.upper:
             raise InvariantViolation(
                 f"axis {self.name!r} needs lower < upper, got "
@@ -97,10 +101,10 @@ class SweepResult:
     """Sweep results as columns, one entry per cell in row-major order.
 
     ``outputs[name][k]`` is None where ``flagged[k]``; ``notes[k]`` says
-    why the cell was rejected and is empty for clean cells.
+    why the cell was rejected and is empty for clean cells. The cells'
+    coordinates are the swept grid's ``columns()``.
     """
 
-    coords: dict[str, list[float]]
     outputs: dict[str, list[Any]]
     flagged: list[bool]
     notes: list[str]
@@ -338,16 +342,14 @@ def sweep(
             f"available: {binding.outputs}"
         )
     cells = grid.cells
-    coord_columns = grid.columns()
     with np.errstate(all="ignore"):
-        columns, notes = binding.evaluate_columns({**base, **coord_columns}, cells, outputs)
+        columns, notes = binding.evaluate_columns({**base, **grid.columns()}, cells, outputs)
     flagged = notes != ""
     values = {}
     for name in outputs:
         column = columns[name].astype(object) if name in columns else np.empty(cells, object)
         column[flagged] = None
         values[name] = column.tolist()
-    coords = {name: col.tolist() for name, col in coord_columns.items()}
     metadata = {
         "model": binding.model,
         "kind": "sweep",
@@ -358,7 +360,7 @@ def sweep(
         "cells": cells,
         "flagged": int(flagged.sum()),
     }
-    return SweepResult(coords, values, flagged.tolist(), notes.tolist(), metadata)
+    return SweepResult(values, flagged.tolist(), notes.tolist(), metadata)
 
 
 def stability_region(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InvariantViolation, NonpositiveMargin
+from .errors import DomainError, InvariantViolation, NonpositiveMargin, finite
 from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields
 
 WEIGHT_SUM_TOL = 1e-12
@@ -120,11 +120,13 @@ def profit_derivatives(cs: CostStructure, wage: float) -> tuple[float, float]:
 
     The first is -margin/wage^2 (never positive) and the second is
     2*margin/wage^3 (never negative), which is what pins the optimum to
-    the wage floor.
+    the wage floor. A derivative past the float range (a power of the wage
+    that under- or overflows included) is a NumericalFailure naming it.
     """
     _check_wage(wage)
     margin = gross_margin(cs)
-    return -margin / wage**2, 2 * margin / wage**3
+    first = finite("first_derivative", lambda: -margin / wage**2)
+    return first, finite("second_derivative", lambda: 2 * margin / wage**3)
 
 
 def optimal_wage(cs: CostStructure, bound: WageBound) -> ProfitPoint | UnboundedProfit:

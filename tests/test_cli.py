@@ -416,10 +416,31 @@ BAD_CONFIGS = {
         2,
         "first_derivative overflows the float range",
     ),
+    "wage-grid-cubed-wage-underflows": (
+        {"wage": {**WAGE, "grid": {"min": 1e-110, "max": 1.0, "points": 3}}},
+        2,
+        "second_derivative overflows the float range",
+    ),
     "wage-grid-second-derivative-overflows": (
         {"wage": {**WAGE, "grid": {"min": 1e-103, "max": 1.0, "points": 3}}},
         2,
         "second_derivative is not finite: inf",
+    ),
+    "sweep-axis-span-past-float-range": (
+        {
+            "sweep": {
+                "model": "budget",
+                "base": BUDGET,
+                "axes": [{"name": "gov_spending", "min": -1.7e308, "max": 1.7e308, "points": 3}],
+            }
+        },
+        1,
+        "axis 'gov_spending' needs finite bounds and a finite span",
+    ),
+    "wage-grid-span-past-float-range": (
+        {"wage": {**WAGE, "grid": {"min": -1.7e308, "max": 1.7e308, "points": 3}}},
+        1,
+        "needs finite bounds and a finite span",
     ),
     "output-path-in-missing-directory": (
         {"budget": BUDGET, "output": {"path": str(DATA / "no_such_dir" / "rows.csv")}},
@@ -597,7 +618,8 @@ def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
         result = sweep(BINDINGS[model], base, grid)
         assert 0 < result.metadata["flagged"] < grid.cells
         # the expected columns, in order, come from the literal list
-        values = {**result.coords, **result.outputs, "flagged": result.flagged}
+        coordinates = {name: column.tolist() for name, column in grid.columns().items()}
+        values = {**coordinates, **result.outputs, "flagged": result.flagged}
         rows = [
             {name: values[name][k] for name in columns if not (flagged and name in result.outputs)}
             for k, flagged in enumerate(result.flagged)
@@ -747,3 +769,32 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "budget_direct.csv").read_text()
     assert "pole:" in proc.stderr
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(tmp_path):
+    # about 0.5 MB of CSV, more than the pipe holds, so writing blocks
+    # until the reader is gone
+    cfg = {
+        "sweep": {
+            "model": "budget",
+            "kind": "stability_region",
+            "base": BUDGET,
+            "axes": [
+                {"name": "tax_rate", "min": 0.0, "max": 1.0, "points": 100},
+                {"name": "invest_share", "min": 0.0, "max": 2.0, "points": 100},
+            ],
+        }
+    }
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ecodyn", "sweep", "--config", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "tax_rate,invest_share,pole,stable,flagged\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == "swept 10000 cells over ['tax_rate', 'invest_share']; 0 flagged\n"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -44,6 +45,8 @@ def test_axis_validation():
         Axis("x", 1.0, 0.0, 5)
     with pytest.raises(InvariantViolation):
         Axis("x", 0.0, float("inf"), 5)
+    with pytest.raises(InvariantViolation, match="finite span"):
+        Axis("x", -1.7e308, 1.7e308, 3)
 
 
 def test_grid_is_row_major():
@@ -70,7 +73,9 @@ def test_wage_sweep_values():
     base = {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": [[0.5, 4.0]]}
     grid = ParamGrid((Axis("wage", 1.0, 4.0, 4),))
     result = sweep(BINDINGS["wage"], base, grid)
-    assert result.coords == {"wage": [1.0, 2.0, 3.0, 4.0]}
+    assert {name: column.tolist() for name, column in grid.columns().items()} == {
+        "wage": [1.0, 2.0, 3.0, 4.0]
+    }
     assert result.outputs["net_profit"][0] == 7.5
     assert result.outputs["net_profit"][1] == 3.5
     assert not any(result.flagged)
@@ -170,7 +175,7 @@ def test_stability_region():
     # tax_rate 0, invest_share 0: only the private loop drains the pool
     assert pole[0] == pytest.approx(-0.15, abs=1e-12)
     assert stable[0] is True
-    assert {name: column[-1] for name, column in result.coords.items()} == {
+    assert {name: column[-1] for name, column in grid.columns().items()} == {
         "tax_rate": 1.0,
         "invest_share": 2.0,
     }
@@ -179,13 +184,29 @@ def test_stability_region():
     assert pole[-1] == 1.0
     assert stable[-1] is True
     # heavy investment with no taxation pushes the pole above 1
-    assert {name: column[2] for name, column in result.coords.items()} == {
+    assert {name: column[2] for name, column in grid.columns().items()} == {
         "tax_rate": 0.0,
         "invest_share": 2.0,
     }
     assert pole[2] == pytest.approx(2.25, abs=1e-12)
     assert stable[2] is False
     assert set(result.outputs) == {"pole", "stable"}
+
+
+def test_a_region_result_retains_no_coordinates():
+    # the cells' coordinates stay in the grid; the result keeps two output
+    # columns, the flags and the notes, about 5 MB for 90,000 cells
+    grid = ParamGrid(
+        (Axis("tax_rate", 0.0, 1.0, 300), Axis("invest_share", 0.0, 2.0, 300))
+    )
+    tracemalloc.start()
+    try:
+        result = stability_region(BUDGET_BASE, grid)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.flagged) == 90_000
+    assert retained < 7_000_000
 
 
 def test_stability_region_needs_two_axes():
@@ -213,7 +234,7 @@ def test_untaxed_investment_destabilizes_upward():
     poles = result.outputs["pole"]
     flags = result.outputs["stable"]
     threshold = 1.15 / 1.2  # pole(share) = 1.2*share - 0.15 crosses 1 here
-    for share, pole, stable in zip(result.coords["invest_share"], poles, flags):
+    for share, pole, stable in zip(grid.columns()["invest_share"].tolist(), poles, flags):
         assert pole == pytest.approx(1.2 * share - 0.15, abs=1e-12)
         assert stable == (share <= threshold)
     assert min(poles) > -1.0
@@ -226,7 +247,7 @@ def _stable_flag_flips(base, points=41):
     )
     result = stability_region(base, grid)
     flags = result.outputs["stable"]
-    ts = result.coords["tax_rate"]
+    ts = grid.columns()["tax_rate"].tolist()
     return [
         (ts[i], ts[i + 1]) for i in range(len(flags) - 1) if flags[i] != flags[i + 1]
     ]
@@ -299,10 +320,10 @@ def assert_matches_scalar(model, base, grid, outputs=None):
     """
     result = sweep(BINDINGS[model], base, grid, outputs)
     outputs = outputs or BINDINGS[model].outputs
-    assert result.coords == {name: column.tolist() for name, column in grid.columns().items()}
+    columns = {name: column.tolist() for name, column in grid.columns().items()}
     kinds = set()
     for k, (flagged, note) in enumerate(zip(result.flagged, result.notes)):
-        coords = {name: column[k] for name, column in result.coords.items()}
+        coords = {name: column[k] for name, column in columns.items()}
         cell_outputs = {name: column[k] for name, column in result.outputs.items()}
         try:
             values = REFERENCES[model]({**base, **coords}, outputs)
@@ -366,10 +387,11 @@ def test_columnar_budget_sweep_matches_scalar_model():
     )
     assert assert_matches_scalar("budget", BUDGET_BASE, edges) == {"clean", "rejected"}
     result = sweep(BINDINGS["budget"], BUDGET_BASE, edges)
+    columns = edges.columns()
     rejected = [
         (wages, spending)
         for wages, spending, flagged in zip(
-            result.coords["initial_wages"], result.coords["gov_spending"], result.flagged
+            columns["initial_wages"].tolist(), columns["gov_spending"].tolist(), result.flagged
         )
         if flagged
     ]

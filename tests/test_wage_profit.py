@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ecodyn.errors import DomainError, InvariantViolation, NonpositiveMargin
+from ecodyn.errors import DomainError, InvariantViolation, NonpositiveMargin, NumericalFailure
 from ecodyn.oracles import DiffSpec, central_diff_first, central_diff_second
 from ecodyn.wage_profit import (
     CostStructure,
@@ -93,6 +93,18 @@ def test_derivatives_match_central_differences():
     fd2 = central_diff_second(f, w, DiffSpec(h=5e-4 * w))
     assert fd1 == pytest.approx(d1, rel=1e-6)
     assert fd2 == pytest.approx(d2, rel=1e-6)
+
+
+def test_derivatives_past_the_float_range_name_the_derivative():
+    for wage, message in (
+        (1e-200, "first_derivative overflows the float range"),  # wage**2 underflows
+        (1e-110, "second_derivative overflows the float range"),  # only wage**3 does
+        (1e-103, "second_derivative is not finite: inf"),
+        (1e200, "first_derivative overflows the float range"),  # wage**2 overflows
+    ):
+        with pytest.raises(NumericalFailure) as failure:
+            profit_derivatives(CS, wage)
+        assert str(failure.value) == message
 
 
 def test_optimal_wage_at_floor():
