@@ -43,12 +43,10 @@ class Axis:
             raise InvariantViolation("axis name must be non-empty")
         if self.points < 1:
             raise InvariantViolation(f"axis needs at least 1 point, got {self.points}")
-        # a non-finite bound makes the span non-finite too
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise InvariantViolation("axis bounds must be finite")
         if not math.isfinite(self.upper - self.lower):
-            raise InvariantViolation(
-                f"axis {self.name!r} needs finite bounds and a finite span, got "
-                f"[{self.lower}, {self.upper}]"
-            )
+            raise InvariantViolation(f"axis {self.name!r} spans past the float range")
         if self.points > 1 and not self.lower < self.upper:
             raise InvariantViolation(
                 f"axis {self.name!r} needs lower < upper, got "

@@ -45,7 +45,7 @@ def test_axis_validation():
         Axis("x", 1.0, 0.0, 5)
     with pytest.raises(InvariantViolation):
         Axis("x", 0.0, float("inf"), 5)
-    with pytest.raises(InvariantViolation, match="finite span"):
+    with pytest.raises(InvariantViolation, match="spans past the float range"):
         Axis("x", -1.7e308, 1.7e308, 3)
 
 
