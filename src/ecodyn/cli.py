@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass
@@ -33,7 +34,7 @@ from . import value_feedback as vf
 from . import wage_profit as wp
 from .errors import DomainError, EcodynError, InvariantViolation, NumericalFailure, finite
 from .oracles import IntegrationSpec, rk4_integrate
-from .schema import integer, is_number, number, read
+from .schema import integer, is_number, number, read, string
 from .sweep import BINDINGS, Axis, ParamGrid, cost_structure, stability_region, sweep
 
 
@@ -41,15 +42,23 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _finite_float(literal: str) -> float:
+    """A JSON number literal, or NaN, Infinity or -Infinity, as a finite float."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
+
+
 def _load_config(path: str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
     except OSError as exc:
         raise InvariantViolation(f"cannot read config {path!r}: {exc}") from exc
     except ValueError as exc:
-        # JSONDecodeError, undecodable UTF-8, or an integer literal too
-        # long for int() to convert
+        # JSONDecodeError, undecodable UTF-8, an integer literal too long
+        # for int() to convert, or a non-finite number
         raise InvariantViolation(f"cannot parse config {path!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvariantViolation(f"config {path!r} must hold a JSON object")
@@ -104,12 +113,26 @@ _JSON_VALUE: dict[type, Callable[[Any], str]] = {
 }
 # float.__repr__ of the values standard JSON cannot hold
 _NONFINITE = frozenset(("nan", "inf", "-inf"))
+# Column types written in one orjson call. orjson gives float.__repr__'s
+# shortest round-trip digits for 0 and for 1e-4 <= |v| < 1e16; other
+# floats (where it drops the exponent's sign and zero padding, or writes
+# null for nan and inf) and None holes go through the encoders.
+_FLOAT_KINDS = ({float}, {float, type(None)})
 
 
 def _encode(
     values: list[Any], encoders: dict[type, Callable[[Any], str]], other: Callable[[Any], str]
 ) -> list[str]:
     kinds = set(map(type, values))
+    if kinds in _FLOAT_KINDS:
+        import orjson  # not at module top: it pulls in uuid and zoneinfo
+
+        cells = orjson.dumps(values)[1:-1].decode().split(",")
+        x = np.array(values, dtype=float)  # None becomes nan
+        size = np.abs(x)
+        for k in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (x != 0)).tolist():
+            cells[k] = encoders.get(type(values[k]), other)(values[k])
+        return cells
     if len(kinds) == 1:
         return list(map(encoders.get(kinds.pop(), other), values))
     return [encoders.get(type(v), other)(v) for v in values]
@@ -135,7 +158,7 @@ def _coordinates(grid: ParamGrid) -> dict[str, _Indexed]:
 
     Grid values are never merged by equality: 0.0 == -0.0, but repr
     tells them apart."""
-    indices = grid.indices().values()
+    indices = grid.indices.values()
     return {a.name: _Indexed(a.grid(), index) for a, index in zip(grid.axes, indices)}
 
 
@@ -267,10 +290,10 @@ def _emit(
 
 def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str, str | None]:
     out_cfg = _section(cfg, "output", {})
-    fmt = args.format or out_cfg.get("format") or "csv"
+    fmt = args.format or string(out_cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise InvariantViolation(f"output format must be csv or json, got {fmt!r}")
-    out = args.out or out_cfg.get("path")
+    out = args.out or string(out_cfg, "path", None)
     return fmt, out
 
 
@@ -503,7 +526,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     sec = _section(cfg, "sweep")
     fmt, out = _output_options(args, cfg)
 
-    model = sec.get("model")
+    model = string(sec, "model")
     if model not in BINDINGS:
         raise InvariantViolation(
             f"'model' must be one of {sorted(BINDINGS)}, got {model!r}"
@@ -518,7 +541,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             raise InvariantViolation("each axis needs name/min/max/points")
         axes.append(_axis(str(spec["name"]), spec))
     grid = ParamGrid(tuple(axes))
-    kind = sec.get("kind", "sweep")
+    kind = string(sec, "kind", "sweep")
 
     if kind == "stability_region":
         if model != "budget":

@@ -112,6 +112,18 @@ def integer(section: Mapping[str, Any], key: str, default: Any = MISSING) -> int
     return v
 
 
+def string(section: Mapping[str, Any], key: str, default: Any = MISSING) -> str:
+    """section[key] as a str; other types are rejected."""
+    if key not in section:
+        if default is MISSING:
+            raise InvariantViolation(f"missing string key {key!r}")
+        return default
+    v = section[key]
+    if not isinstance(v, str):
+        raise InvariantViolation(f"key {key!r} must be a string, got {v!r}")
+    return v
+
+
 def factor_pairs(section: Mapping[str, Any], key: str) -> tuple[tuple[float, float], ...]:
     """section[key] as (weight, value) pairs of numbers, () when absent."""
     pairs = section.get(key, ())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -78,19 +78,27 @@ class ParamGrid:
             n *= a.points
         return n
 
+    @cached_property
     def indices(self) -> dict[str, np.ndarray]:
-        """Per axis, the position in its grid of each cell's coordinate, row-major."""
+        """Per axis, the position in its grid of each cell's coordinate, row-major.
+
+        Built once per grid and read-only, so a sweep's coordinate columns
+        and the writers' coordinate text share the same arrays. Each holds
+        the smallest unsigned integer type its axis needs."""
         indices = {}
         inner, outer = self.cells, 1
         for a in self.axes:
             inner //= a.points
-            indices[a.name] = np.tile(np.repeat(np.arange(a.points), inner), outer)
+            positions = np.arange(a.points, dtype=np.min_scalar_type(a.points - 1))
+            index = np.tile(np.repeat(positions, inner), outer)
+            index.flags.writeable = False
+            indices[a.name] = index
             outer *= a.points
         return indices
 
     def columns(self) -> dict[str, np.ndarray]:
         """One coordinate column per axis, one entry per cell, row-major."""
-        indices = self.indices().values()
+        indices = self.indices.values()
         return {a.name: np.array(a.grid())[index] for a, index in zip(self.axes, indices)}
 
 

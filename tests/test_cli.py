@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ecodyn import cli
 from ecodyn.cli import main
@@ -309,14 +311,17 @@ def _budget_sweep(**base):
     return {"sweep": {"model": "budget", "base": {**BUDGET, **base}, "axes": TAX_AXIS}}
 
 
-# json.dumps cannot write an integer this long, so the test writes the
-# config with this string swapped for the digits.
+# json.dumps cannot write these literals, so the test writes the config
+# with each placeholder string swapped for its literal.
 LONG_INT = "<integer of 5001 digits>"
+HUGE_FLOAT = "<float literal past the float range>"
+LITERALS = {LONG_INT: "1" * 5001, HUGE_FLOAT: "-1e400"}
 
 # Each of these ends in one error line, never a traceback, a silently
-# converted value or a non-finite number in the output: mistyped values and
-# integers beyond the float range are config errors (exit 1), overflow and
-# non-finite results are numerical failures (exit 2).
+# converted value or a non-finite number in the output: mistyped values,
+# non-finite number literals and integers beyond the float range are config
+# errors (exit 1), overflow and non-finite results are numerical failures
+# (exit 2).
 BAD_CONFIGS = {
     "sweep-string-value": (_budget_sweep(private_fraction="high"), 1, "must be a number"),
     "sweep-boolean-value": (_budget_sweep(private_fraction=True), 1, "must be a number"),
@@ -408,8 +413,18 @@ BAD_CONFIGS = {
     ),
     "probe-nan-exponent": (
         {"value": {"probe": {"true_value": 2.0, "exponents": [math.nan, -2]}}},
-        2,
-        "gap is not finite: nan",
+        1,
+        "NaN is not a finite number",
+    ),
+    "probe-minus-infinity-exponent": (
+        {"value": {"probe": {"true_value": 2.0, "exponents": [-10.0, -math.inf]}}},
+        1,
+        "-Infinity is not a finite number",
+    ),
+    "probe-exponent-literal-past-float-range": (
+        {"value": {"probe": {"true_value": 2.0, "exponents": [-10.0, HUGE_FLOAT]}}},
+        1,
+        "-1e400 is not a finite number",
     ),
     "wage-grid-squared-wage-underflows": (
         {"wage": {**WAGE, "grid": {"min": 1e-200, "max": 1.0, "points": 3}}},
@@ -442,6 +457,22 @@ BAD_CONFIGS = {
         1,
         "spans past the float range",
     ),
+    "sweep-model-object": (
+        {"sweep": {"model": {}, "base": BUDGET, "axes": TAX_AXIS}},
+        1,
+        "key 'model' must be a string, got {}",
+    ),
+    "output-path-list": (
+        {"budget": BUDGET, "output": {"path": ["rows.csv"]}},
+        1,
+        "key 'path' must be a string, got ['rows.csv']",
+    ),
+    # not a file descriptor, which open() would write to and close
+    "output-path-integer": (
+        {"budget": BUDGET, "output": {"path": 2}},
+        1,
+        "key 'path' must be a string, got 2",
+    ),
     "output-path-in-missing-directory": (
         {"budget": BUDGET, "output": {"path": str(DATA / "no_such_dir" / "rows.csv")}},
         1,
@@ -455,7 +486,10 @@ BAD_CONFIGS = {
 def test_bad_configs_exit_with_one_error_line(tmp_path, capsys, name):
     cfg, code, message = BAD_CONFIGS[name]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg).replace(json.dumps(LONG_INT), "1" * 5001))
+    text = json.dumps(cfg)
+    for placeholder, literal in LITERALS.items():
+        text = text.replace(json.dumps(placeholder), literal)
+    path.write_text(text)
     rc, out, err = run([next(iter(cfg)), "--config", str(path)], capsys)
     assert rc == code
     assert out == ""
@@ -568,6 +602,48 @@ def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
     assert _written(cli._write_csv, columns).splitlines()[-1] == f"{bad!r},4"
 
 
+# the ends of the range that float columns encode in bulk, and the
+# smallest subnormal and the largest double
+EDGE_FLOATS = [
+    1e-4,
+    math.nextafter(1e-4, 0),
+    math.nextafter(1e16, 0),
+    1e16,
+    5e-324,
+    1.7976931348623157e308,
+]
+
+
+@given(st.lists(st.floats()), st.data())
+def test_float_columns_encode_as_each_cell_alone(drawn, data):
+    values = [*drawn, *EDGE_FLOATS, *(-v for v in EDGE_FLOATS)]
+    for k in data.draw(st.sets(st.integers(0, len(values) - 1))):
+        values[k] = None
+    assert cli._encode(values, cli._CSV_CELL, cli._csv_other) == list(map(_reference_cell, values))
+    assert cli._encode(values, cli._JSON_VALUE, json.dumps) == [
+        "null" if v is None else repr(v) for v in values
+    ]
+
+
+def test_bulk_float_range_encodes_as_repr():
+    # random mantissas and signs with exponents -14 to 53, so magnitudes in
+    # [2**-14, 2**54), kept inside [1e-4, 1e16)
+    rng = np.random.default_rng(20261018)
+    bits = rng.integers(0, 2**52, 150_000, dtype=np.uint64)
+    bits |= rng.integers(1023 - 14, 1023 + 54, bits.size, dtype=np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, bits.size, dtype=np.uint64) << np.uint64(63)
+    x = bits.view(np.float64)
+    values = x[(abs(x) >= 1e-4) & (abs(x) < 1e16)][:100_000].tolist()
+    assert len(values) == 100_000
+    assert cli._encode(values, cli._CSV_CELL, cli._csv_other) == list(map(float.__repr__, values))
+
+
+def test_importing_the_cli_leaves_orjson_unloaded():
+    code = "import sys, ecodyn.cli; print('orjson' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 RECORD_ROUTE_SWEEPS = [
     # value: flagged cells for a nonpositive true value and the singular exponent
     (
@@ -633,13 +709,12 @@ def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
 
 def test_sweep_writers_format_each_axis_value_once(tmp_path, capsys, monkeypatch):
     formatted = []
-    for encoders in (cli._CSV_CELL, cli._JSON_VALUE):
 
-        def counted(v, encode=encoders[float]):
-            formatted.append(v)
-            return encode(v)
+    def counted(values, encoders, other, encode=cli._encode):
+        formatted.extend(v for v in values if isinstance(v, float))
+        return encode(values, encoders, other)
 
-        monkeypatch.setitem(encoders, float, counted)
+    monkeypatch.setattr(cli, "_encode", counted)
     cfg = {
         "sweep": {
             "model": "budget",
@@ -659,6 +734,25 @@ def test_sweep_writers_format_each_axis_value_once(tmp_path, capsys, monkeypatch
         assert rc == 0 and "; 0 flagged" in err
         # each axis point once, then the pole of each cell
         assert len(formatted) == 40 + 30 + 1200
+
+
+def test_a_sweep_and_its_writers_build_the_grid_index_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counted(grid, build=ParamGrid.indices.func):
+        built.append(grid)
+        return build(grid)
+
+    indices = cached_property(counted)
+    indices.__set_name__(ParamGrid, "indices")
+    monkeypatch.setattr(ParamGrid, "indices", indices)
+    for fmt in ("csv", "json"):
+        built.clear()
+        rc, out, _ = run(
+            ["sweep", "--config", str(DATA / "sweep_budget.json"), "--format", fmt], capsys
+        )
+        assert rc == 0 and out == (GOLDEN / f"sweep_budget.{fmt}").read_text()
+        assert len(built) == 1
 
 
 def test_verify_config_tolerances(tmp_path, capsys):

@@ -56,7 +56,7 @@ def test_grid_is_row_major():
     assert list(columns) == ["a", "b"]
     assert columns["a"].tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     assert columns["b"].tolist() == [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]
-    indices = grid.indices()
+    indices = grid.indices
     assert list(indices) == ["a", "b"]
     assert indices["a"].tolist() == [0, 0, 0, 1, 1, 1]
     assert indices["b"].tolist() == [0, 1, 2, 0, 1, 2]
