@@ -16,26 +16,41 @@ added onto the current pool, which shifts the pole by exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Any, Mapping
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields
+from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields, integer, string
 
 MODES = ("direct", "incremental")
 
 WEIGHT_SUM_TOL = 1e-12
 
 
-def _check_mode(mode: str) -> None:
+def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise InvariantViolation(f"mode must be one of {MODES}, got {mode!r}")
+    return mode
 
 
 def _check_run(mode: str, n: int) -> None:
     _check_mode(mode)
     if n < 0:
         raise InvariantViolation(f"year count must be >= 0, got {n}")
+
+
+def read_mode(section: Mapping[str, Any], key: str = "mode") -> str:
+    """section[key] as a recurrence mode, "direct" when absent."""
+    return _check_mode(string(section, key, "direct"))
+
+
+def read_horizon(section: Mapping[str, Any], key: str = "horizon") -> int:
+    """section[key] as a year count, 10 when absent."""
+    horizon = integer(section, key, 10)
+    if horizon < 0:
+        raise InvariantViolation(f"{key!r} must be >= 0, got {horizon}")
+    return horizon
 
 
 @dataclass(frozen=True)

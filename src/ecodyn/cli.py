@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto the model modules: ``wage``, ``value``
 and ``budget`` evaluate a single configuration from a JSON file,
-``sweep`` grids one or two parameters, and ``verify`` runs the built-in
+``sweep`` grids one or more parameters, and ``verify`` runs the built-in
 numerical audit. Data rows go to stdout (or --out) as CSV or JSON;
 human-oriented summaries go to stderr so pipelines stay clean. The one
 exception is ``verify``, whose pass/fail lines are its data product and
@@ -92,50 +92,49 @@ def _csv_quoted(text: str) -> str:
     return buf.getvalue()[: -len(",\n")]
 
 
-def _csv_other(v: Any) -> str:
-    return _csv_quoted(repr(v) if isinstance(v, float) else str(v))
+def _json_float(v: float) -> str:
+    if not math.isfinite(v):
+        raise NumericalFailure(f"cannot write the non-finite value {v!r} as JSON")
+    return float.__repr__(v)
 
 
-# Cell encoders by exact type, so a column of one type encodes in one
-# map() call; _csv_other and json.dumps cover every other type.
-_CSV_CELL: dict[type, Callable[[Any], str]] = {
-    float: float.__repr__,
-    int: int.__repr__,
-    bool: ("0", "1").__getitem__,
-    type(None): {None: ""}.__getitem__,
+# Each format's text of a cell, by the numpy kind of its column. orjson
+# writes float.__repr__'s digits for 0 and for 1e-4 <= |v| < 1e16; "f"
+# gets only the other floats, whose exponent orjson writes without its
+# sign and zero padding, and nan and inf, which it writes as null.
+_Text = dict[str, Callable[[Any], str]]
+_CSV_TEXT: _Text = {
+    "f": float.__repr__,
+    "b": ("0", "1").__getitem__,
+    "i": int.__repr__,
+    "U": _csv_quoted,
 }
-_JSON_VALUE: dict[type, Callable[[Any], str]] = {
-    float: float.__repr__,
-    int: int.__repr__,
-    bool: ("false", "true").__getitem__,
-    str: encode_basestring_ascii,
-    type(None): {None: "null"}.__getitem__,
+_JSON_TEXT: _Text = {
+    "f": _json_float,
+    "b": ("false", "true").__getitem__,
+    "i": int.__repr__,
+    "U": encode_basestring_ascii,
 }
-# float.__repr__ of the values standard JSON cannot hold
-_NONFINITE = frozenset(("nan", "inf", "-inf"))
-# Column types written in one orjson call. orjson gives float.__repr__'s
-# shortest round-trip digits for 0 and for 1e-4 <= |v| < 1e16; other
-# floats (where it drops the exponent's sign and zero padding, or writes
-# null for nan and inf) and None holes go through the encoders.
-_FLOAT_KINDS = ({float}, {float, type(None)})
 
 
-def _encode(
-    values: list[Any], encoders: dict[type, Callable[[Any], str]], other: Callable[[Any], str]
-) -> list[str]:
-    kinds = set(map(type, values))
-    if kinds in _FLOAT_KINDS:
+def _encode(values: Any, holes: np.ndarray | None, text: _Text) -> list[str]:
+    """Each cell's text in one format, "" where holes marks it. A float column
+    is one orjson call, and text["f"] redoes its cells outside orjson's range."""
+    values = np.asarray(values)
+    holes = np.zeros(values.shape, dtype=bool) if holes is None else holes
+    if values.dtype.kind == "f":
         import orjson  # not at module top: it pulls in uuid and zoneinfo
 
-        cells = orjson.dumps(values)[1:-1].decode().split(",")
-        x = np.array(values, dtype=float)  # None becomes nan
-        size = np.abs(x)
-        for k in np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (x != 0)).tolist():
-            cells[k] = encoders.get(type(values[k]), other)(values[k])
-        return cells
-    if len(kinds) == 1:
-        return list(map(encoders.get(kinds.pop(), other), values))
-    return [encoders.get(type(v), other)(v) for v in values]
+        cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        size = np.abs(values)
+        redo = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0) & ~holes)
+        for k, v in zip(redo.tolist(), values[redo].tolist()):
+            cells[k] = text["f"](v)
+    else:
+        cells = list(map(text[values.dtype.kind], values.tolist()))
+    for k in np.flatnonzero(holes).tolist():
+        cells[k] = ""
+    return cells
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ class _Indexed:
         return len(self.index)
 
 
-_Columns = dict[str, list[Any] | _Indexed]
+_Columns = dict[str, Any]  # a list, a numpy column or an _Indexed per column
 
 
 def _coordinates(grid: ParamGrid) -> dict[str, _Indexed]:
@@ -168,46 +167,40 @@ _BLOCK_ROWS = 4096
 
 
 def _row_blocks(
-    columns: _Columns, encode: Callable[[list[Any]], list[str]], holes: list[bool] | None = None
-) -> Iterator[tuple[list[list[str]], list[bool] | None]]:
+    columns: _Columns, text: _Text, holes: np.ndarray | None, sparse: tuple[str, ...]
+) -> Iterator[tuple[list[list[str]], np.ndarray]]:
     """Each block of rows as its cells' text, column by column, with its
-    slice of holes. An indexed column's values are encoded once, and a
-    block gathers their text through its slice of the index."""
+    slice of holes, which blank the columns named in sparse. An indexed
+    column's values are encoded once; a block gathers their text by index."""
     texts = {
-        name: np.array(encode(column.values), dtype=object)
+        name: np.array(_encode(column.values, None, text), dtype=object)
         for name, column in columns.items()
         if isinstance(column, _Indexed)
     }
     rows = len(next(iter(columns.values()), ()))
+    holes = np.zeros(rows, dtype=bool) if holes is None else holes
     for start in range(0, rows, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
+        block_holes = holes[start:stop]
         block = [
             texts[name][column.index[start:stop]].tolist()
             if name in texts
-            else encode(column[start:stop])
+            else _encode(column[start:stop], block_holes if name in sparse else None, text)
             for name, column in columns.items()
         ]
-        yield block, None if holes is None else holes[start:stop]
+        yield block, block_holes
 
 
-def _write_csv(columns: _Columns, stream: IO[str]) -> None:
-    """Write a header and one line per row, as csv.writer would.
-
-    Every table here has at least two columns, so csv's special case of
-    a row made of one empty field never arises.
-    """
+def _write_csv(
+    columns: _Columns, stream: IO[str], holes: np.ndarray | None = None, sparse: tuple = ()
+) -> None:
+    """Write a header and one line per row, as csv.writer would, with the
+    columns named in sparse empty in rows marked in holes. Every table here
+    has at least two columns, so csv's special case of a row made of one
+    empty field never arises."""
     stream.write(",".join(map(_csv_quoted, columns)) + "\n")
-    encode = partial(_encode, encoders=_CSV_CELL, other=_csv_other)
-    for encoded, _ in _row_blocks(columns, encode):
+    for encoded, _ in _row_blocks(columns, _CSV_TEXT, holes, sparse):
         stream.write("\n".join(map(",".join, zip(*encoded))) + "\n")
-
-
-def _json_column(values: list[Any]) -> list[str]:
-    cells = _encode(values, _JSON_VALUE, json.dumps)
-    if not _NONFINITE.isdisjoint(cells):
-        bad = next(c for c in cells if c in _NONFINITE)
-        raise NumericalFailure(f"cannot write the non-finite value {bad} as JSON")
-    return cells
 
 
 def _json_row(names: list[str], leave_out: tuple[str, ...]) -> str:
@@ -224,7 +217,7 @@ def _write_json(
     columns: _Columns,
     metadata: dict[str, Any],
     stream: IO[str],
-    holes: list[bool] | None = None,
+    holes: np.ndarray | None = None,
     sparse: tuple[str, ...] = (),
 ) -> None:
     """Write {"metadata": ..., "rows": [...]} as json.dump(indent=2) would.
@@ -234,7 +227,7 @@ def _write_json(
     the pure-Python encoder.
     """
     head = json.dumps({"metadata": metadata, "rows": []}, indent=2)
-    if not next(iter(columns.values()), None):
+    if not len(next(iter(columns.values()), ())):
         stream.write(head + "\n")
         return
     names = list(columns)
@@ -242,14 +235,11 @@ def _write_json(
     holed = _json_row(names, sparse).format
     stream.write(head[: head.rindex("[]")] + "[\n")
     separator = ""
-    for encoded, block_holes in _row_blocks(columns, _json_column, holes):
-        if block_holes is None:
-            rows = map(full, *encoded)
-        else:
-            rows = (
-                holed(*row) if hole else full(*row)
-                for hole, row in zip(block_holes, zip(*encoded))
-            )
+    for encoded, block_holes in _row_blocks(columns, _JSON_TEXT, holes, sparse):
+        rows = (
+            holed(*row) if hole else full(*row)
+            for hole, row in zip(block_holes.tolist(), zip(*encoded))
+        )
         stream.write(separator + ",\n".join(rows))
         separator = ",\n"
     stream.write("\n  ]\n}\n")
@@ -260,21 +250,21 @@ def _emit(
     metadata: dict[str, Any],
     fmt: str,
     out: str | None,
-    holes: list[bool] | None = None,
+    holes: np.ndarray | None = None,
     sparse: tuple[str, ...] = (),
 ) -> None:
     """Write the rows as CSV or JSON to out, or to stdout.
 
-    CSV leaves None cells empty; JSON rows marked in holes leave out the
-    keys named in sparse. Rows are written a block at a time, so a write
+    Rows marked in holes leave the columns named in sparse empty in CSV
+    and out of the JSON row. Rows are written a block at a time, so a write
     that fails on a cell removes out rather than leave part of the table.
     """
     if fmt == "csv":
         write = partial(_write_csv, columns)
     else:
-        write = partial(_write_json, columns, metadata, holes=holes, sparse=sparse)
+        write = partial(_write_json, columns, metadata)
     if out is None:
-        write(stream=sys.stdout)
+        write(sys.stdout, holes, sparse)
         return
     try:
         fh = open(out, "w", encoding="utf-8", newline="")
@@ -282,7 +272,7 @@ def _emit(
         raise InvariantViolation(f"cannot write output {out!r}: {exc}") from exc
     try:
         with fh:
-            write(stream=fh)
+            write(fh, holes, sparse)
     except EcodynError:
         os.remove(out)
         raise
@@ -444,10 +434,8 @@ def _run_budget(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "budget")
     fmt, out = _output_options(args, cfg)
-    mode = args.mode or sec.get("mode", "direct")
-    horizon = integer(sec, "horizon", 10)
-    if horizon < 0:
-        raise InvariantViolation(f"'horizon' must be >= 0, got {horizon}")
+    mode = args.mode or bd.read_mode(sec)
+    horizon = bd.read_horizon(sec)
 
     params = read(bd.BudgetParams, sec)
     balance_note = ""
@@ -691,9 +679,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="grid a model over one or two parameters",
+        help="grid a model over one or more parameters",
         description=(
-            "Sweep a model over one or two axes. Config section 'sweep' "
+            "Sweep a model over one or more axes. Config section 'sweep' "
             "needs model (wage|value|budget), base parameters, and axes "
             "[{name,min,max,points}, ...]; optional kind "
             "(sweep|stability_region), mode for budget sweeps. Cells the "

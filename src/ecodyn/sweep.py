@@ -1,6 +1,6 @@
-"""Parameter sweeps over the three models, on one or two axes.
+"""Parameter sweeps over the three models, on one or more axes.
 
-A sweep takes a base parameter set, replaces one or two named parameters
+A sweep takes a base parameter set, replaces one or more named parameters
 with grid values, evaluates the model at every grid cell in row-major
 order (last axis fastest), and collects the outputs into columns.
 Cells where the model rejects the parameter combination, or where an
@@ -26,7 +26,7 @@ from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
 from .errors import NOT_FINITE_NOTE, OVERFLOW_NOTE, EcodynError, InvariantViolation, finite
-from .schema import BOUND_NOTE, declared, factor_pairs, first_failing, integer, number, read
+from .schema import BOUND_NOTE, declared, factor_pairs, first_failing, number, read
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,14 @@ class ParamGrid:
 class SweepResult:
     """Sweep results as columns, one entry per cell in row-major order.
 
-    ``outputs[name][k]`` is None where ``flagged[k]``; ``notes[k]`` says
-    why the cell was rejected and is empty for clean cells. The cells'
+    ``outputs[name]`` is a float64 numpy column (bool for ``stable``),
+    NaN (False) where the bool column ``flagged`` is set; ``notes[k]``
+    says why cell k was rejected and is empty for clean cells. The cells'
     coordinates are the swept grid's ``columns()``.
     """
 
-    outputs: dict[str, list[Any]]
-    flagged: list[bool]
+    outputs: dict[str, np.ndarray]
+    flagged: np.ndarray
     notes: list[str]
     metadata: dict[str, Any]
 
@@ -127,13 +128,14 @@ class ModelBinding:
     allowed_axes lists the parameter names a sweep may vary; required
     lists the numeric keys that must be present in the base parameters or
     as an axis; optional maps the other keys the model reads to the config
-    reader that checks their type; outputs fixes the full column set a
-    sweep can report.
+    reader that checks them (their type, and a budget mode's or horizon's
+    value); outputs fixes the full column set a sweep can report.
 
     evaluate_columns(params, cells, outputs), the one evaluator, gets
     every axis as a numpy column in params and returns at least the
     requested output columns and one note per cell, "" for a clean cell;
-    noted cells may hold anything, and a column may be missing if all are.
+    noted cells may hold anything, and a column may be missing if all are;
+    the sweep fills both with NaN (False in a bool column).
     """
 
     model: str
@@ -245,21 +247,16 @@ BUDGET_PARAMS = tuple(field.name for field in fields(bd.BudgetParams))
 def _budget_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
     notes = _Notes(cells)
     operands = notes.fields(bd.BudgetParams, [params[name] for name in BUDGET_PARAMS])
-    mode = params.get("mode", "direct")
+    mode = params.get("mode", "direct")  # check_binding has read mode and horizon
     coeffs = bd._coefficients(*operands[:6])
-    try:
-        pole = coeffs.pole_in_mode(mode)
-    except EcodynError as exc:
-        return {}, notes.add(True, str(exc))
+    pole = coeffs.pole_in_mode(mode)
     notes.not_finite("pole", pole)
     columns = {"pole": pole, "stable": bd._is_stable(pole)}
     if "final_pool" not in outputs:
         return columns, notes.texts
-    horizon = params.get("horizon", 10)
     try:
-        bd._check_run(mode, horizon)
         # closed_form overflows in every cell on a horizon past the float range
-        years = finite("final_pool", lambda: float(horizon))
+        years = finite("final_pool", lambda: float(params.get("horizon", 10)))
     except EcodynError as exc:
         return columns, notes.add(True, str(exc))
     power, overflow = _power(pole, years, ~notes.open)
@@ -292,7 +289,7 @@ BINDINGS: dict[str, ModelBinding] = {
         model="budget",
         allowed_axes=BUDGET_PARAMS,
         required=BUDGET_PARAMS,
-        optional={"horizon": integer},
+        optional={"horizon": bd.read_horizon, "mode": bd.read_mode},
         outputs=("pole", "stable", "final_pool"),
         evaluate_columns=_budget_columns,
     ),
@@ -305,9 +302,9 @@ def check_binding(
     """Reject bad sweep setups before any cell is evaluated.
 
     Axes must be ones the model can sweep, every required parameter must
-    be in base or on an axis, and base values must have the type the
-    single-run subcommands read. Values are not converted, and values out
-    of range are left for the cells to flag.
+    be in base or on an axis, and base values must be what the single-run
+    subcommands read: the type, and a budget mode's or horizon's value. Values
+    are not converted, and other values out of range are left for the cells.
     """
     for axis in grid.axes:
         if axis.name not in binding.allowed_axes:
@@ -353,9 +350,8 @@ def sweep(
     flagged = notes != ""
     values = {}
     for name in outputs:
-        column = columns[name].astype(object) if name in columns else np.empty(cells, object)
-        column[flagged] = None
-        values[name] = column.tolist()
+        column = columns[name] if name in columns else np.full(cells, math.nan)
+        values[name] = np.where(flagged, False if column.dtype == bool else math.nan, column)
     metadata = {
         "model": binding.model,
         "kind": "sweep",
@@ -366,7 +362,7 @@ def sweep(
         "cells": cells,
         "flagged": int(flagged.sum()),
     }
-    return SweepResult(values, flagged.tolist(), notes.tolist(), metadata)
+    return SweepResult(values, flagged, notes.tolist(), metadata)
 
 
 def stability_region(

@@ -328,6 +328,23 @@ BAD_CONFIGS = {
     "sweep-horizon-string": (_budget_sweep(horizon="abc"), 1, "must be an integer"),
     "sweep-horizon-null": (_budget_sweep(horizon=None), 1, "must be an integer"),
     "sweep-horizon-fraction": (_budget_sweep(horizon=2.5), 1, "must be an integer"),
+    # one mistake for every cell, so a config error like the budget run's,
+    # not a sweep whose every cell is rejected
+    "sweep-horizon-negative": (_budget_sweep(horizon=-1), 1, "'horizon' must be >= 0, got -1"),
+    "sweep-mode-integer": (_budget_sweep(mode=5), 1, "key 'mode' must be a string, got 5"),
+    "sweep-region-bad-mode": (
+        {
+            "sweep": {
+                "model": "budget",
+                "kind": "stability_region",
+                "mode": "sideways",
+                "base": BUDGET,
+                "axes": [*TAX_AXIS, {"name": "invest_share", "min": 0.0, "max": 2.0, "points": 3}],
+            }
+        },
+        1,
+        "mode must be one of ('direct', 'incremental'), got 'sideways'",
+    ),
     "sweep-homog-coeff-string": (
         {
             "sweep": {
@@ -540,7 +557,7 @@ def test_writers_match_the_reference_route(monkeypatch):
         "x": [0.1, -0.0, 1e300 * 10, math.nan],
         "ok": [True, False, True, False],
         'label {0}, "q"': ["plain", 'quote " and, comma', "line\nbreak", "caf\u00e9 {0}"],
-        "gap": [None, 2.5, -math.inf, np.float64(1e-320)],
+        "gap": [-1e-5, 2.5, -math.inf, 1e-320],
     }
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     metadata = {"command": "test", "exponent": None, "pole": math.inf, "rows": 4}
@@ -556,34 +573,42 @@ def test_writers_match_the_reference_route(monkeypatch):
 
     # coordinates as axis grids plus a row-major index: three axes, one of a
     # single point, -0.0 ending one axis and 0.0 starting another, and
-    # blocks of 4 rows, which divide no axis
+    # blocks of 4 rows, which divide no axis; sweep outputs as numpy
+    # columns with NaN and False in their holes
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
     grid = ParamGrid((Axis("a", -1.0, -0.0, 3), Axis("one", 2.5, 2.5, 1), Axis("b", 0.0, 1.0, 3)))
-    columns = cli._coordinates(grid)
-    # holes in the first and the last row of every block
-    holes = [k % 4 in (0, 3) for k in range(grid.cells)]
-    columns.update(
-        {
-            "pole": [None if hole else k / 7 for k, hole in enumerate(holes)],
-            "stable": [None if hole else k % 3 == 1 for k, hole in enumerate(holes)],
-            "unset": [None] * grid.cells,
-            "f64": [np.float64(k) / 3 for k in range(grid.cells)],
-            "mixed": [None, 1, 2.5, "x", True, np.float64(-0.0), 0.0, "", 7],
-            "flagged": holes,
-        }
-    )
     plain = {name: column.tolist() for name, column in grid.columns().items()}
     assert plain["a"][-1] == 0.0 and math.copysign(1.0, plain["a"][-1]) == -1.0
-    rows = [dict(zip(columns, values)) for values in zip(*{**columns, **plain}.values())]
-    assert _written(cli._write_csv, columns) == _reference_csv(list(columns), rows)
+    cell = np.arange(grid.cells)
     sparse = ("pole", "stable", "unset")
-    json_rows = [
-        {k: v for k, v in row.items() if not (hole and k in sparse)}
-        for row, hole in zip(rows, holes)
-    ]
-    written = io.StringIO()
-    cli._write_json(columns, metadata, written, holes, sparse)
-    assert written.getvalue() == _reference_json(json_rows, metadata)
+    # holes in the first and the last row of every block, and then in every
+    # row, where a column the evaluation left out (unset) is all NaN
+    for holes in (np.isin(cell % 4, (0, 3)), np.ones(grid.cells, dtype=bool)):
+        outputs = {
+            "pole": np.where(holes, math.nan, cell / 7),
+            "stable": np.where(holes, False, cell % 3 == 1),
+        }
+        if holes.all():
+            outputs["unset"] = np.full(grid.cells, math.nan)
+        columns = {**cli._coordinates(grid), **outputs, "flagged": holes}
+        # the reference rows hold None in a hole, which csv.writer leaves
+        # empty, and the JSON rows leave its key out
+        values = {**plain, **{name: c.tolist() for name, c in outputs.items()}}
+        values["flagged"] = holes.tolist()
+        rows = [
+            {name: None if hole and name in sparse else values[name][j] for name in columns}
+            for j, hole in enumerate(values["flagged"])
+        ]
+        written = io.StringIO()
+        cli._write_csv(columns, written, holes, sparse)
+        assert written.getvalue() == _reference_csv(list(columns), rows)
+        json_rows = [
+            {name: v for name, v in row.items() if not (hole and name in sparse)}
+            for row, hole in zip(rows, values["flagged"])
+        ]
+        written = io.StringIO()
+        cli._write_json(columns, metadata, written, holes, sparse)
+        assert written.getvalue() == _reference_json(json_rows, metadata)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -600,6 +625,11 @@ def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
     assert not out.exists()
     # CSV spells them as repr does
     assert _written(cli._write_csv, columns).splitlines()[-1] == f"{bad!r},4"
+    # a hole is left out, not checked
+    holes = np.array([False, False, False, True])
+    written = io.StringIO()
+    cli._write_json(columns, {"rows": 4}, written, holes, ("x",))
+    assert [row.get("x") for row in json.loads(written.getvalue())["rows"]] == [0.5, 1.5, 2.5, None]
 
 
 # the ends of the range that float columns encode in bulk, and the
@@ -616,13 +646,19 @@ EDGE_FLOATS = [
 
 @given(st.lists(st.floats()), st.data())
 def test_float_columns_encode_as_each_cell_alone(drawn, data):
-    values = [*drawn, *EDGE_FLOATS, *(-v for v in EDGE_FLOATS)]
-    for k in data.draw(st.sets(st.integers(0, len(values) - 1))):
-        values[k] = None
-    assert cli._encode(values, cli._CSV_CELL, cli._csv_other) == list(map(_reference_cell, values))
-    assert cli._encode(values, cli._JSON_VALUE, json.dumps) == [
-        "null" if v is None else repr(v) for v in values
-    ]
+    # the whole double range, the edges, NaN and the infinities
+    values = [*drawn, *EDGE_FLOATS, *(-v for v in EDGE_FLOATS), math.nan, math.inf, -math.inf]
+    holes = np.array(data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values))))
+    expected = ["" if hole else repr(v) for v, hole in zip(values, holes.tolist())]
+    assert cli._encode(np.array(values), holes, cli._CSV_TEXT) == expected
+    # JSON refuses a non-finite cell unless it is a hole
+    bad = [v for v, hole in zip(values, holes.tolist()) if not (hole or math.isfinite(v))]
+    if bad:
+        with pytest.raises(NumericalFailure, match=f"non-finite value {bad[0]!r} as JSON"):
+            cli._encode(np.array(values), holes, cli._JSON_TEXT)
+    holes |= ~np.isfinite(values)
+    expected = ["" if hole else repr(v) for v, hole in zip(values, holes.tolist())]
+    assert cli._encode(np.array(values), holes, cli._JSON_TEXT) == expected
 
 
 def test_bulk_float_range_encodes_as_repr():
@@ -633,9 +669,10 @@ def test_bulk_float_range_encodes_as_repr():
     bits |= rng.integers(1023 - 14, 1023 + 54, bits.size, dtype=np.uint64) << np.uint64(52)
     bits |= rng.integers(0, 2, bits.size, dtype=np.uint64) << np.uint64(63)
     x = bits.view(np.float64)
-    values = x[(abs(x) >= 1e-4) & (abs(x) < 1e16)][:100_000].tolist()
+    values = x[(abs(x) >= 1e-4) & (abs(x) < 1e16)][:100_000]
     assert len(values) == 100_000
-    assert cli._encode(values, cli._CSV_CELL, cli._csv_other) == list(map(float.__repr__, values))
+    expected = list(map(float.__repr__, values.tolist()))
+    assert cli._encode(values, None, cli._CSV_TEXT) == expected
 
 
 def test_importing_the_cli_leaves_orjson_unloaded():
@@ -694,11 +731,13 @@ def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
         result = sweep(BINDINGS[model], base, grid)
         assert 0 < result.metadata["flagged"] < grid.cells
         # the expected columns, in order, come from the literal list
-        coordinates = {name: column.tolist() for name, column in grid.columns().items()}
-        values = {**coordinates, **result.outputs, "flagged": result.flagged}
+        values = {
+            name: column.tolist()
+            for name, column in {**grid.columns(), **result.outputs, "flagged": result.flagged}.items()
+        }
         rows = [
             {name: values[name][k] for name in columns if not (flagged and name in result.outputs)}
-            for k, flagged in enumerate(result.flagged)
+            for k, flagged in enumerate(values["flagged"])
         ]
         json_rows = [{**row, "note": note} for row, note in zip(rows, result.notes)]
         rc, out, _ = run(["sweep", "--config", str(path)], capsys)
@@ -710,9 +749,9 @@ def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
 def test_sweep_writers_format_each_axis_value_once(tmp_path, capsys, monkeypatch):
     formatted = []
 
-    def counted(values, encoders, other, encode=cli._encode):
+    def counted(values, holes, text, encode=cli._encode):
         formatted.extend(v for v in values if isinstance(v, float))
-        return encode(values, encoders, other)
+        return encode(values, holes, text)
 
     monkeypatch.setattr(cli, "_encode", counted)
     cfg = {

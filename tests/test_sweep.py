@@ -1,7 +1,9 @@
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from ecodyn.budget_dynamics import BudgetParams, closed_form, stability_report
@@ -123,8 +125,8 @@ def test_single_point_sweep_equals_direct_call():
 def test_value_sweep_flags_singular_cell():
     grid = ParamGrid((Axis("exponent", 0.0, 2.0, 3),))
     result = sweep(BINDINGS["value"], {"true_value": 2.0}, grid)
-    assert result.flagged == [False, True, False]
-    assert [column[1] for column in result.outputs.values()] == [None, None]
+    assert result.flagged.tolist() == [False, True, False]
+    assert all(math.isnan(column[1]) for column in result.outputs.values())
     assert result.notes[1] != ""
     assert result.metadata["flagged"] == 1
 
@@ -132,8 +134,18 @@ def test_value_sweep_flags_singular_cell():
 def test_budget_sweep_flags_invalid_params():
     grid = ParamGrid((Axis("invest_share", -0.5, 0.5, 3),))
     result = sweep(BINDINGS["budget"], BUDGET_BASE, grid)
-    assert result.flagged == [True, False, False]
+    assert result.flagged.tolist() == [True, False, False]
     assert result.outputs["pole"][1] == pytest.approx(0.195, abs=1e-12)
+    # the columns keep their types: a flagged cell's floats are NaN and
+    # its stable flag is False
+    assert {name: column.dtype for name, column in result.outputs.items()} == {
+        "pole": np.float64,
+        "stable": bool,
+        "final_pool": np.float64,
+    }
+    pole, stable, final_pool = (column.tolist() for column in result.outputs.values())
+    assert math.isnan(pole[0]) and math.isnan(final_pool[0]) and stable[0] is False
+    assert stable[1:] == [True, True] and all(map(math.isfinite, pole[1:] + final_pool[1:]))
 
 
 def test_binding_rejects_unknown_axis():
@@ -171,7 +183,7 @@ def test_stability_region():
     result = stability_region(BUDGET_BASE, grid)
     assert result.metadata["kind"] == "stability_region"
     assert result.metadata["mode"] == "direct"
-    pole, stable = result.outputs["pole"], result.outputs["stable"]
+    pole, stable = result.outputs["pole"].tolist(), result.outputs["stable"].tolist()
     # tax_rate 0, invest_share 0: only the private loop drains the pool
     assert pole[0] == pytest.approx(-0.15, abs=1e-12)
     assert stable[0] is True
@@ -194,8 +206,8 @@ def test_stability_region():
 
 
 def test_a_region_result_retains_no_coordinates():
-    # the cells' coordinates stay in the grid; the result keeps two output
-    # columns, the flags and the notes, about 5 MB for 90,000 cells
+    # the cells' coordinates stay in the grid; the result keeps two numpy
+    # output columns, the flags and the notes, about 2 MB for 90,000 cells
     grid = ParamGrid(
         (Axis("tax_rate", 0.0, 1.0, 300), Axis("invest_share", 0.0, 2.0, 300))
     )
@@ -206,7 +218,7 @@ def test_a_region_result_retains_no_coordinates():
     finally:
         tracemalloc.stop()
     assert len(result.flagged) == 90_000
-    assert retained < 7_000_000
+    assert retained < 3_000_000
 
 
 def test_stability_region_needs_two_axes():
@@ -321,15 +333,19 @@ def assert_matches_scalar(model, base, grid, outputs=None):
     result = sweep(BINDINGS[model], base, grid, outputs)
     outputs = outputs or BINDINGS[model].outputs
     columns = {name: column.tolist() for name, column in grid.columns().items()}
+    results = {name: column.tolist() for name, column in result.outputs.items()}
     kinds = set()
-    for k, (flagged, note) in enumerate(zip(result.flagged, result.notes)):
+    for k, (flagged, note) in enumerate(zip(result.flagged.tolist(), result.notes)):
         coords = {name: column[k] for name, column in columns.items()}
-        cell_outputs = {name: column[k] for name, column in result.outputs.items()}
+        cell_outputs = {name: column[k] for name, column in results.items()}
         try:
             values = REFERENCES[model]({**base, **coords}, outputs)
         except EcodynError as exc:
             assert flagged and note == str(exc)
-            assert all(value is None for value in cell_outputs.values())
+            assert all(
+                v is False if name == "stable" else math.isnan(v)
+                for name, v in cell_outputs.items()
+            )
             kinds.add("non-finite" if isinstance(exc, NumericalFailure) else "rejected")
             continue
         expected = {name: values[name] for name in outputs}
@@ -342,7 +358,7 @@ def assert_matches_scalar(model, base, grid, outputs=None):
         else:
             kinds.add("clean")
         assert repr(cell_outputs) == repr(expected)
-    assert result.metadata["flagged"] == sum(result.flagged)
+    assert result.metadata["flagged"] == result.flagged.sum()
     return kinds
 
 
@@ -375,7 +391,7 @@ def test_columnar_budget_sweep_matches_scalar_model():
     ints.update(gov_spending=100, initial_wages=1000)
     assert assert_matches_scalar("budget", ints, grid) == {"clean", "pole 1"}
     final_pool = sweep(BINDINGS["budget"], {**ints, "horizon": 5}, grid).outputs["final_pool"]
-    assert repr(final_pool) == "[-100.0, -162.5, 500.0]"
+    assert repr(final_pool.tolist()) == "[-100.0, -162.5, 500.0]"
     # an out-of-range integer base value is quoted as given
     two = {**ints, "spending_split": 2}
     assert assert_matches_scalar("budget", two, grid) == {"rejected"}
@@ -399,22 +415,24 @@ def test_columnar_budget_sweep_matches_scalar_model():
         -500.0, -400.0, -300.0, -200.0, -100.0, 0.0
     }
     assert {spending for wages, spending in rejected if wages > 0} == {-100.0, -50.0}
-    # a NaN base value, a bad mode and a negative horizon reject every cell,
-    # and a horizon past the float range overflows every cell
-    for bad in ({"gov_spending": math.nan}, {"mode": "sideways"}, {"horizon": -1}):
-        assert assert_matches_scalar("budget", {**BUDGET_BASE, **bad}, grid) == {"rejected"}
+    # a NaN base value rejects every cell, and a horizon past the float
+    # range overflows every cell
+    nan = {**BUDGET_BASE, "gov_spending": math.nan}
+    assert assert_matches_scalar("budget", nan, grid) == {"rejected"}
     huge = {**BUDGET_BASE, "horizon": 10**400}
     assert assert_matches_scalar("budget", huge, grid) == {"non-finite"}
-    # a rejected field comes before a bad mode or a negative horizon
+    # a bad mode or a negative horizon is one mistake for every cell: the
+    # sweep raises on it before any cell runs, with the text the scalar
+    # budget run gives, also where a field would reject some cells
     split = ParamGrid((Axis("spending_split", 0.5, 1.5, 5),))
-    field = "spending_split must lie in [0, 1], got "
-    for bad, note in (
+    for bad, message in (
         ({"mode": "sideways"}, "mode must be one of ('direct', 'incremental'), got 'sideways'"),
-        ({"horizon": -1}, "year count must be >= 0, got -1"),
+        ({"mode": 5}, "key 'mode' must be a string, got 5"),
+        ({"horizon": -1}, "'horizon' must be >= 0, got -1"),
     ):
-        base = {**BUDGET_BASE, **bad}
-        assert assert_matches_scalar("budget", base, split) == {"rejected"}
-        assert _notes("budget", base, split) == {note, field + "1.25", field + "1.5"}
+        for cells in (grid, split):
+            with pytest.raises(InvariantViolation, match=re.escape(message)):
+                sweep(BINDINGS["budget"], {**BUDGET_BASE, **bad}, cells, ("pole", "stable"))
 
 
 def test_columnar_value_sweep_matches_scalar_model():
@@ -513,7 +531,7 @@ def test_overflowing_cells_are_flagged_not_raised():
     # the value model's power term overflows the same way
     grid = ParamGrid((Axis("exponent", 100.0, 500.0, 4),))
     result = sweep(BINDINGS["value"], {"true_value": 10.0}, grid)
-    assert result.flagged == [False, False, True, True]
+    assert result.flagged.tolist() == [False, False, True, True]
     assert result.notes[-1] == "market_value overflows the float range"
 
 
