@@ -418,7 +418,6 @@ def fixed_point(
     A pole of exactly 1 makes every level stationary if the constant flow
     vanishes (the initial pool is reported) and none otherwise.
     """
-    _check_mode(mode)
     coeffs = coefficients(params)
     pole = coeffs.pole_in_mode(mode)
     if pole == 1.0:
@@ -502,7 +501,6 @@ def shrink_condition(params: BudgetParams) -> bool:
 
 def stability_report(params: BudgetParams, mode: str = "direct") -> StabilityReport:
     """Full stability analysis of one parameter set in one mode."""
-    _check_mode(mode)
     coeffs = coefficients(params)
     pole = coeffs.pole_in_mode(mode)
     return StabilityReport(

@@ -114,6 +114,7 @@ _JSON_TEXT: _Text = {
     "b": ("false", "true").__getitem__,
     "i": int.__repr__,
     "U": encode_basestring_ascii,
+    "O": encode_basestring_ascii,  # a sweep's notes, str objects
 }
 
 
@@ -434,7 +435,8 @@ def _run_budget(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, "budget")
     fmt, out = _output_options(args, cfg)
-    mode = args.mode or bd.read_mode(sec)
+    config_mode = bd.read_mode(sec)  # checked even when --mode overrides it
+    mode = args.mode or config_mode
     horizon = bd.read_horizon(sec)
 
     params = read(bd.BudgetParams, sec)
@@ -520,21 +522,25 @@ def _run_sweep(args: argparse.Namespace) -> int:
             f"'model' must be one of {sorted(BINDINGS)}, got {model!r}"
         )
     base = _section(sec, "base", {})
+    if "mode" in sec:
+        if "mode" in base:
+            raise InvariantViolation("give the budget mode in 'sweep' or in 'base', not both")
+        base = {**base, "mode": sec["mode"]}
     axes_spec = sec.get("axes")
     if not isinstance(axes_spec, list) or not axes_spec:
         raise InvariantViolation("'axes' must be a non-empty list")
     axes = []
     for spec in axes_spec:
-        if not isinstance(spec, dict) or "name" not in spec:
+        if not isinstance(spec, dict):
             raise InvariantViolation("each axis needs name/min/max/points")
-        axes.append(_axis(str(spec["name"]), spec))
+        axes.append(_axis(string(spec, "name"), spec))
     grid = ParamGrid(tuple(axes))
     kind = string(sec, "kind", "sweep")
 
     if kind == "stability_region":
         if model != "budget":
             raise InvariantViolation("a stability region requires the budget model")
-        result = stability_region(base, grid, mode=sec.get("mode", "direct"))
+        result = stability_region(base, grid)
     elif kind == "sweep":
         result = sweep(BINDINGS[model], base, grid)
     else:
@@ -551,7 +557,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     )
     columns: _Columns = {**_coordinates(grid), **result.outputs, "flagged": result.flagged}
     if fmt == "json":
-        columns["note"] = result.notes
+        columns["note"] = np.array(result.notes, dtype=object)
     _emit(columns, result.metadata, fmt, out, result.flagged, tuple(result.outputs))
     return 0
 
@@ -684,7 +690,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "Sweep a model over one or more axes. Config section 'sweep' "
             "needs model (wage|value|budget), base parameters, and axes "
             "[{name,min,max,points}, ...]; optional kind "
-            "(sweep|stability_region), mode for budget sweeps. Cells the "
+            "(sweep|stability_region). A budget sweep's mode goes in "
+            "'sweep' or in 'base', not both (default direct). Cells the "
             "model rejects are flagged, not fatal."
         ),
     )

@@ -247,16 +247,17 @@ BUDGET_PARAMS = tuple(field.name for field in fields(bd.BudgetParams))
 def _budget_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
     notes = _Notes(cells)
     operands = notes.fields(bd.BudgetParams, [params[name] for name in BUDGET_PARAMS])
-    mode = params.get("mode", "direct")  # check_binding has read mode and horizon
+    mode = bd.read_mode(params)
     coeffs = bd._coefficients(*operands[:6])
     pole = coeffs.pole_in_mode(mode)
     notes.not_finite("pole", pole)
     columns = {"pole": pole, "stable": bd._is_stable(pole)}
     if "final_pool" not in outputs:
         return columns, notes.texts
+    horizon = bd.read_horizon(params)
     try:
         # closed_form overflows in every cell on a horizon past the float range
-        years = finite("final_pool", lambda: float(params.get("horizon", 10)))
+        years = finite("final_pool", lambda: float(horizon))
     except EcodynError as exc:
         return columns, notes.add(True, str(exc))
     power, overflow = _power(pole, years, ~notes.open)
@@ -365,15 +366,15 @@ def sweep(
     return SweepResult(values, flagged, notes.tolist(), metadata)
 
 
-def stability_region(
-    base: dict[str, Any], grid: ParamGrid, mode: str = "direct"
-) -> SweepResult:
-    """Two-axis budget sweep reporting only the pole and the stable mask."""
+def stability_region(base: dict[str, Any], grid: ParamGrid) -> SweepResult:
+    """Two-axis budget sweep reporting only the pole and the stable mask,
+    in base's mode (direct when absent) as any budget sweep; the metadata
+    records the mode."""
     if len(grid.axes) != 2:
         raise InvariantViolation(
             f"a stability region needs exactly 2 axes, got {len(grid.axes)}"
         )
-    result = sweep(BINDINGS["budget"], {**base, "mode": mode}, grid, ("pole", "stable"))
+    result = sweep(BINDINGS["budget"], base, grid, ("pole", "stable"))
     result.metadata["kind"] = "stability_region"
-    result.metadata["mode"] = mode
+    result.metadata["mode"] = bd.read_mode(base)
     return result

@@ -67,6 +67,18 @@ def test_budget_golden(capsys):
     assert "stable tax range: (0.0, 1.0)" in err
 
 
+def test_budget_deficiencies_golden(capsys):
+    rc, out, err = run(["budget", "--config", str(DATA / "budget_deficiencies.json")], capsys)
+    assert rc == 0
+    assert out == (GOLDEN / "budget_deficiencies.csv").read_text()
+    assert (
+        "year 0: flow balance 112.47499999999997, investments 83.21999999999998, "
+        "annual change 195.69499999999994 (currency erosion scales the year-0 flow "
+        "balance to 101.22749999999998; the trajectory below uses the adjusted "
+        "parameters without erosion)"
+    ) in err.splitlines()
+
+
 def test_sweep_region_golden(capsys):
     rc, out, err = run(["sweep", "--config", str(DATA / "sweep_region.json")], capsys)
     assert rc == 0
@@ -134,6 +146,14 @@ def test_mode_flag_overrides_config(capsys):
     first_year = out.splitlines()[2].split(",")
     assert first_year[0] == "1"
     assert abs(float(first_year[1]) - 1229.0) < 1e-9
+
+
+def test_mode_flag_overrides_only_a_valid_config_mode(tmp_path, capsys):
+    path = tmp_path / "mode5.json"
+    path.write_text(json.dumps({"budget": {**BUDGET, "mode": 5}}))
+    rc, out, err = run(["budget", "--config", str(path), "--mode", "direct"], capsys)
+    assert rc == 1 and out == ""
+    assert err == "error: key 'mode' must be a string, got 5\n"
 
 
 def test_value_gains_route(tmp_path, capsys):
@@ -305,6 +325,7 @@ BUDGET = {
 }
 TAX_AXIS = [{"name": "tax_rate", "min": 0.0, "max": 1.0, "points": 3}]
 WAGE = {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": [[0.5, 4.0]]}
+VALUE_CURVE = {"exponent": -2.0, "grid": {"min": 1.0, "max": 2.0, "points": 3}}
 
 
 def _budget_sweep(**base):
@@ -332,6 +353,34 @@ BAD_CONFIGS = {
     # not a sweep whose every cell is rejected
     "sweep-horizon-negative": (_budget_sweep(horizon=-1), 1, "'horizon' must be >= 0, got -1"),
     "sweep-mode-integer": (_budget_sweep(mode=5), 1, "key 'mode' must be a string, got 5"),
+    "sweep-section-mode-unknown": (
+        {"sweep": {"model": "budget", "mode": "sideways", "base": BUDGET, "axes": TAX_AXIS}},
+        1,
+        "mode must be one of ('direct', 'incremental'), got 'sideways'",
+    ),
+    "sweep-mode-in-section-and-base": (
+        {
+            "sweep": {
+                "model": "budget",
+                "mode": "incremental",
+                "base": {**BUDGET, "mode": "incremental"},
+                "axes": TAX_AXIS,
+            }
+        },
+        1,
+        "give the budget mode in 'sweep' or in 'base', not both",
+    ),
+    "sweep-axis-name-integer": (
+        {
+            "sweep": {
+                "model": "budget",
+                "base": BUDGET,
+                "axes": [{"name": 5, "min": 0.0, "max": 1.0, "points": 3}],
+            }
+        },
+        1,
+        "key 'name' must be a string, got 5",
+    ),
     "sweep-region-bad-mode": (
         {
             "sweep": {
@@ -495,6 +544,88 @@ BAD_CONFIGS = {
         1,
         "cannot write output",
     ),
+    "wage-section-not-an-object": (
+        {"wage": [WAGE]},
+        1,
+        "config section 'wage' must be an object",
+    ),
+    "value-grid-not-an-object": (
+        {"value": {"exponent": -2.0, "grid": [1.0, 2.0]}},
+        1,
+        "section needs a 'grid' object with min/max/points",
+    ),
+    "output-format-unknown": (
+        {"budget": BUDGET, "output": {"format": "xml"}},
+        1,
+        "output format must be csv or json, got 'xml'",
+    ),
+    "value-exponent-and-gains": (
+        {"value": {**VALUE_CURVE, "inflation_gain": 0.4, "deflation_gain": 0.9}},
+        1,
+        "give either 'exponent' or the gain pair, not both",
+    ),
+    "value-probe-and-grid": (
+        {"value": {**VALUE_CURVE, "probe": {"true_value": 2.0, "exponents": [-2.0]}}},
+        1,
+        "give either 'probe' or 'grid', not both",
+    ),
+    "value-probe-not-an-object": (
+        {"value": {"probe": [2.0, -2.0]}},
+        1,
+        "'probe' must be an object",
+    ),
+    "value-rk4-steps-zero": (
+        {"value": {**VALUE_CURVE, "rk4_steps": 0}},
+        1,
+        "'rk4_steps' must be >= 1, got 0",
+    ),
+    "sweep-model-unknown": (
+        {"sweep": {"model": "labour", "base": BUDGET, "axes": TAX_AXIS}},
+        1,
+        "'model' must be one of ['budget', 'value', 'wage'], got 'labour'",
+    ),
+    "sweep-axes-empty": (
+        {"sweep": {"model": "budget", "base": BUDGET, "axes": []}},
+        1,
+        "'axes' must be a non-empty list",
+    ),
+    "sweep-axis-not-an-object": (
+        {"sweep": {"model": "budget", "base": BUDGET, "axes": ["tax_rate"]}},
+        1,
+        "each axis needs name/min/max/points",
+    ),
+    "sweep-region-of-wage-model": (
+        {
+            "sweep": {
+                "model": "wage",
+                "kind": "stability_region",
+                "base": WAGE,
+                "axes": [{"name": "wage", "min": 1.0, "max": 2.0, "points": 3}],
+            }
+        },
+        1,
+        "a stability region requires the budget model",
+    ),
+    "sweep-kind-unknown": (
+        {"sweep": {"model": "budget", "kind": "grid", "base": BUDGET, "axes": TAX_AXIS}},
+        1,
+        "'kind' must be sweep or stability_region, got 'grid'",
+    ),
+    "budget-missing-tax-rate": (
+        {"budget": {k: v for k, v in BUDGET.items() if k != "tax_rate"}},
+        1,
+        "missing numeric key 'tax_rate'",
+    ),
+    "wage-grid-without-points": (
+        {"wage": {**WAGE, "grid": {"min": 1.0, "max": 2.0}}},
+        1,
+        "missing integer key 'points'",
+    ),
+    "budget-deficiencies-not-an-object": (
+        {"budget": {**BUDGET, "deficiencies": 0.1}},
+        1,
+        "config section 'deficiencies' must be an object",
+    ),
 }
 
 
@@ -513,6 +644,14 @@ def test_bad_configs_exit_with_one_error_line(tmp_path, capsys, name):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0]
     assert "Traceback" not in err
+
+
+def test_a_config_that_is_not_an_object_exits_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    rc, out, err = run(["budget", "--config", str(path)], capsys)
+    assert rc == 1 and out == ""
+    assert err == f"error: config {str(path)!r} must hold a JSON object\n"
 
 
 # -- writers against the csv.writer / json.dump route they replace ----------
@@ -792,6 +931,43 @@ def test_a_sweep_and_its_writers_build_the_grid_index_once(tmp_path, capsys, mon
         )
         assert rc == 0 and out == (GOLDEN / f"sweep_budget.{fmt}").read_text()
         assert len(built) == 1
+
+
+def test_a_sweep_sections_mode_runs_as_the_base_mode(tmp_path, capsys):
+    configs = {
+        "sweep": {"model": "budget", "mode": "incremental", "base": BUDGET, "axes": TAX_AXIS},
+        "base": {"model": "budget", "base": {**BUDGET, "mode": "incremental"}, "axes": TAX_AXIS},
+    }
+    written = {}
+    for where, sec in configs.items():
+        path = tmp_path / f"{where}.json"
+        path.write_text(json.dumps({"sweep": sec}))
+        for fmt in ("csv", "json"):
+            rc, written[where, fmt], _ = run(
+                ["sweep", "--config", str(path), "--format", fmt], capsys
+            )
+            assert rc == 0
+    for fmt in ("csv", "json"):
+        assert written["sweep", fmt] == written["base", fmt]
+    doc = json.loads(written["sweep", "json"])
+    # incremental mode: the direct pole (-0.15 + 0.12 at tax_rate 0) plus one
+    assert doc["rows"][0]["pole"] == pytest.approx(0.97, abs=1e-12)
+
+
+def test_a_region_runs_in_the_base_mode(tmp_path, capsys):
+    axes = [*TAX_AXIS, {"name": "invest_share", "min": 0.0, "max": 2.0, "points": 3}]
+    poles = {}
+    for mode in ("direct", "incremental"):
+        base = {**BUDGET, "mode": mode}
+        cfg = {"sweep": {"model": "budget", "kind": "stability_region", "base": base, "axes": axes}}
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, _ = run(["sweep", "--config", str(path), "--format", "json"], capsys)
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["metadata"]["mode"] == mode
+        poles[mode] = [row["pole"] for row in doc["rows"]]
+    assert poles["incremental"] == [1.0 + pole for pole in poles["direct"]]
 
 
 def test_verify_config_tolerances(tmp_path, capsys):

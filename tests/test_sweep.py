@@ -205,6 +205,21 @@ def test_stability_region():
     assert set(result.outputs) == {"pole", "stable"}
 
 
+def test_stability_region_reads_the_mode_from_its_base():
+    grid = ParamGrid(
+        (Axis("tax_rate", 0.0, 1.0, 3), Axis("invest_share", 0.0, 2.0, 3))
+    )
+    direct = stability_region(BUDGET_BASE, grid)
+    result = stability_region({**BUDGET_BASE, "mode": "incremental"}, grid)
+    assert result.metadata["mode"] == "incremental"
+    pole = result.outputs["pole"].tolist()
+    assert pole == (1.0 + direct.outputs["pole"]).tolist()
+    # the direct poles -0.15, 1.0 and 2.25 of test_stability_region, shifted by one
+    assert pole[0] == pytest.approx(0.85, abs=1e-12)
+    assert pole[-1] == 2.0
+    assert result.outputs["stable"].tolist()[:2] == [True, False]
+
+
 def test_a_region_result_retains_no_coordinates():
     # the cells' coordinates stay in the grid; the result keeps two numpy
     # output columns, the flags and the notes, about 2 MB for 90,000 cells
