@@ -28,7 +28,7 @@ from typing import IO, Any, Callable, Iterator
 
 import numpy as np
 
-from . import __version__, audit
+from . import __version__
 from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
@@ -107,14 +107,13 @@ _CSV_TEXT: _Text = {
     "f": float.__repr__,
     "b": ("0", "1").__getitem__,
     "i": int.__repr__,
-    "U": _csv_quoted,
+    "O": _csv_quoted,  # str objects
 }
 _JSON_TEXT: _Text = {
     "f": _json_float,
     "b": ("false", "true").__getitem__,
     "i": int.__repr__,
-    "U": encode_basestring_ascii,
-    "O": encode_basestring_ascii,  # a sweep's notes, str objects
+    "O": encode_basestring_ascii,  # str objects, as a sweep's notes
 }
 
 
@@ -204,14 +203,21 @@ def _write_csv(
         stream.write("\n".join(map(",".join, zip(*encoded))) + "\n")
 
 
-def _json_row(names: list[str], leave_out: tuple[str, ...]) -> str:
-    """str.format template of one row object, with slot i for column i."""
-    fields = [
-        "      %s: {%d}" % (encode_basestring_ascii(name).replace("{", "{{").replace("}", "}}"), i)
-        for i, name in enumerate(names)
-        if name not in leave_out
-    ]
-    return "    {{\n" + ",\n".join(fields) + "\n    }}"
+def _json_keys(names: list[str], leave_out: tuple[str, ...]) -> list[str]:
+    """The text before each cell of a row object: the key of column i, with
+    no comma for the first key present, or "" where leave_out names the
+    column. Entry 0 also carries the comma after the previous row and this
+    row's opening brace."""
+    keys = []
+    comma = ""
+    for name in names:
+        if name in leave_out:
+            keys.append("")
+        else:
+            keys.append(comma + "\n      " + encode_basestring_ascii(name) + ": ")
+            comma = ","
+    keys[0] = ",\n    {" + keys[0]
+    return keys
 
 
 def _write_json(
@@ -223,26 +229,37 @@ def _write_json(
 ) -> None:
     """Write {"metadata": ..., "rows": [...]} as json.dump(indent=2) would.
 
-    Rows marked in holes leave out the keys named in sparse. Each row is
-    filled into a template, since json.dump with an indent always runs
-    the pure-Python encoder.
+    Rows marked in holes leave out the keys named in sparse. json.dump
+    with an indent always runs the pure-Python encoder, so each block of
+    rows is one join of the encoded cells and the key texts, which are
+    worked out once: per row, each column's key text and cell, then the
+    closing brace.
     """
     head = json.dumps({"metadata": metadata, "rows": []}, indent=2)
     if not len(next(iter(columns.values()), ())):
         stream.write(head + "\n")
         return
     names = list(columns)
-    full = _json_row(names, ()).format
-    holed = _json_row(names, sparse).format
+    full = _json_keys(names, ())
+    holed = _json_keys(names, sparse)
+    # a column's key text in a full row and in a row in a hole
+    choices = [np.array(pair, dtype=object) for pair in zip(full, holed)]
+    width = 2 * len(names) + 1
     stream.write(head[: head.rindex("[]")] + "[\n")
-    separator = ""
+    skip = len(",\n")  # the first row follows the opening bracket, not a row
     for encoded, block_holes in _row_blocks(columns, _JSON_TEXT, holes, sparse):
-        rows = (
-            holed(*row) if hole else full(*row)
-            for hole, row in zip(block_holes.tolist(), zip(*encoded))
-        )
-        stream.write(separator + ",\n".join(rows))
-        separator = ",\n"
+        rows = len(block_holes)
+        picks = block_holes.astype(np.intp)
+        pieces = ["\n    }"] * (rows * width)
+        for j, cells in enumerate(encoded):
+            if full[j] == holed[j]:
+                pieces[2 * j :: width] = [full[j]] * rows
+            else:
+                pieces[2 * j :: width] = choices[j][picks].tolist()
+            pieces[2 * j + 1 :: width] = cells
+        pieces[0] = pieces[0][skip:]
+        skip = 0
+        stream.write("".join(pieces))
     stream.write("\n  ]\n}\n")
 
 
@@ -580,6 +597,8 @@ def _parse_tolerances(pairs: list[str] | None) -> dict[str, float]:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from . import audit  # not at module top: only verify runs it
+
     if args.list:
         for name, tol, description in audit.list_checks():
             print(f"{name} tolerance={tol!r} :: {description}")

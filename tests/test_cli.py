@@ -689,13 +689,34 @@ def _written(writer, *args):
     return stream.getvalue()
 
 
+WRITER_EDGE_COLUMNS = {
+    "first": [0.5, -2.0, 1e-300, 4.0, 2.5],
+    "mid": [0, 1, 2, 3, 4],
+    "last": np.array(["n0", 'n"1', "", "n3", "caf\u00e9"], dtype=object),
+}
+WRITER_EDGE_HOLES = [True, False, True, True, False]
+# (_BLOCK_ROWS, columns, sparse)
+WRITER_EDGE_CASES = [
+    (2, WRITER_EDGE_COLUMNS, ("first",)),
+    (2, WRITER_EDGE_COLUMNS, ("mid", "last")),
+    (1, WRITER_EDGE_COLUMNS, ("first", "last")),
+    (
+        2,
+        {"%d \\ caf\u00e9 %s" if k == "mid" else k: c for k, c in WRITER_EDGE_COLUMNS.items()},
+        ("last",),
+    ),
+]
+
+
 def test_writers_match_the_reference_route(monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)  # rows span two write blocks
     columns = {
         "step": [0, 1, 2, 3],
         "x": [0.1, -0.0, 1e300 * 10, math.nan],
         "ok": [True, False, True, False],
-        'label {0}, "q"': ["plain", 'quote " and, comma', "line\nbreak", "caf\u00e9 {0}"],
+        'label {0}, "q"': np.array(
+            ["plain", 'quote " and, comma', "line\nbreak", "caf\u00e9 {0}"], dtype=object
+        ),
         "gap": [-1e-5, 2.5, -math.inf, 1e-320],
     }
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
@@ -709,6 +730,29 @@ def test_writers_match_the_reference_route(monkeypatch):
     empty = {"a": [], "b": []}
     assert _written(cli._write_csv, empty) == _reference_csv(["a", "b"], [])
     assert _written(cli._write_json, empty, metadata) == _reference_json([], metadata)
+
+    # the ends of a row: a sparse set holding the first or the last column,
+    # blocks of one row, and a key holding %, a backslash and a non-ASCII
+    # character; holes in the first row, in both rows of the second block
+    # and not in the last row, which makes a block of its own
+    for block_rows, columns, sparse in WRITER_EDGE_CASES:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        values = {name: list(column) for name, column in columns.items()}
+        holes = np.array(WRITER_EDGE_HOLES)
+        rows = [
+            {name: None if hole and name in sparse else values[name][j] for name in columns}
+            for j, hole in enumerate(WRITER_EDGE_HOLES)
+        ]
+        written = io.StringIO()
+        cli._write_csv(columns, written, holes, sparse)
+        assert written.getvalue() == _reference_csv(list(columns), rows)
+        json_rows = [
+            {name: v for name, v in row.items() if not (hole and name in sparse)}
+            for row, hole in zip(rows, WRITER_EDGE_HOLES)
+        ]
+        written = io.StringIO()
+        cli._write_json(columns, metadata, written, holes, sparse)
+        assert written.getvalue() == _reference_json(json_rows, metadata)
 
     # coordinates as axis grids plus a row-major index: three axes, one of a
     # single point, -0.0 ending one axis and 0.0 starting another, and
@@ -815,9 +859,10 @@ def test_bulk_float_range_encodes_as_repr():
 
 
 def test_importing_the_cli_leaves_orjson_unloaded():
-    code = "import sys, ecodyn.cli; print('orjson' in sys.modules)"
+    # nor the audit, which only verify runs
+    code = "import sys, ecodyn.cli; print('orjson' in sys.modules, 'ecodyn.audit' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0 and proc.stdout == "False False\n"
 
 
 RECORD_ROUTE_SWEEPS = [
