@@ -21,9 +21,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import InvariantViolation
-from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields, integer, string
-
-MODES = ("direct", "incremental")
+from .schema import MODES, NONNEG, POSITIVE, UNIT, bounded, check_fields, integer, string
 
 WEIGHT_SUM_TOL = 1e-12
 

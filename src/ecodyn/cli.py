@@ -24,18 +24,19 @@ import sys
 from dataclasses import MISSING, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import IO, Any, Callable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Iterator
 
 import numpy as np
 
 from . import __version__
-from . import budget_dynamics as bd
-from . import value_feedback as vf
-from . import wage_profit as wp
 from .errors import DomainError, EcodynError, InvariantViolation, NumericalFailure, finite
-from .oracles import IntegrationSpec, rk4_integrate
-from .schema import integer, is_number, number, read, string
-from .sweep import BINDINGS, Axis, ParamGrid, cost_structure, stability_region, sweep
+from .grid import Axis, ParamGrid
+from .schema import MODES, integer, is_number, number, read, string
+
+# Each subcommand imports the models it runs, so a run loads no other
+# model; they are read as module attributes at call time.
+if TYPE_CHECKING:
+    from . import value_feedback as vf
 
 
 def _say(msg: str) -> None:
@@ -101,17 +102,18 @@ def _json_float(v: float) -> str:
 # Each format's text of a cell, by the numpy kind of its column. orjson
 # writes float.__repr__'s digits for 0 and for 1e-4 <= |v| < 1e16; "f"
 # gets only the other floats, whose exponent orjson writes without its
-# sign and zero padding, and nan and inf, which it writes as null.
-_Text = dict[str, Callable[[Any], str]]
+# sign and zero padding, and nan and inf, which it writes as null. "b" is
+# the text of False and of True, which a bool column gathers by its bytes.
+_Text = dict[str, Any]
 _CSV_TEXT: _Text = {
     "f": float.__repr__,
-    "b": ("0", "1").__getitem__,
+    "b": np.array(["0", "1"], dtype=object),
     "i": int.__repr__,
     "O": _csv_quoted,  # str objects
 }
 _JSON_TEXT: _Text = {
     "f": _json_float,
-    "b": ("false", "true").__getitem__,
+    "b": np.array(["false", "true"], dtype=object),
     "i": int.__repr__,
     "O": encode_basestring_ascii,  # str objects, as a sweep's notes
 }
@@ -119,7 +121,8 @@ _JSON_TEXT: _Text = {
 
 def _encode(values: Any, holes: np.ndarray | None, text: _Text) -> list[str]:
     """Each cell's text in one format, "" where holes marks it. A float column
-    is one orjson call, and text["f"] redoes its cells outside orjson's range."""
+    is one orjson call, and text["f"] redoes its cells outside orjson's range;
+    a bool column is one gather."""
     values = np.asarray(values)
     holes = np.zeros(values.shape, dtype=bool) if holes is None else holes
     if values.dtype.kind == "f":
@@ -130,6 +133,8 @@ def _encode(values: Any, holes: np.ndarray | None, text: _Text) -> list[str]:
         redo = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0) & ~holes)
         for k, v in zip(redo.tolist(), values[redo].tolist()):
             cells[k] = text["f"](v)
+    elif values.dtype.kind == "b":
+        cells = text["b"][values.view(np.uint8)].tolist()
     else:
         cells = list(map(text[values.dtype.kind], values.tolist()))
     for k in np.flatnonzero(holes).tolist():
@@ -306,10 +311,12 @@ def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str,
 
 
 def _run_wage(args: argparse.Namespace) -> int:
+    from . import wage_profit as wp
+
     cfg = _load_config(args.config)
     sec = _section(cfg, "wage")
     fmt, out = _output_options(args, cfg)
-    cs = cost_structure(sec)
+    cs = wp.cost_structure(sec)
     wages = _grid_values(sec) if "grid" in sec else []
 
     _say(f"gross margin: {wp.gross_margin(cs)!r}")
@@ -351,6 +358,8 @@ def _run_wage(args: argparse.Namespace) -> int:
 
 
 def _value_exponent(sec: dict[str, Any]) -> float | vf.BalancedFeedback:
+    from . import value_feedback as vf
+
     has_gains = "inflation_gain" in sec or "deflation_gain" in sec
     if has_gains and "exponent" in sec:
         raise InvariantViolation(
@@ -362,6 +371,9 @@ def _value_exponent(sec: dict[str, Any]) -> float | vf.BalancedFeedback:
 
 
 def _run_value(args: argparse.Namespace) -> int:
+    from . import oracles
+    from . import value_feedback as vf
+
     cfg = _load_config(args.config)
     sec = _section(cfg, "value")
     fmt, out = _output_options(args, cfg)
@@ -425,13 +437,13 @@ def _run_value(args: argparse.Namespace) -> int:
         anchor = xs[0]
         lanes = [i for i, x in enumerate(xs) if x != anchor]
         if lanes:
-            spec = IntegrationSpec(
+            spec = oracles.IntegrationSpec(
                 anchor,
                 np.array([xs[i] for i in lanes]),
                 steps,
                 lambda t, u: vf._ode_slope(exponent, t, u),
             )
-            for i, got in zip(lanes, rk4_integrate(spec, market[0]).tolist()):
+            for i, got in zip(lanes, oracles.rk4_integrate(spec, market[0]).tolist()):
                 y = market[i]
                 errors[i] = finite("rk4_error", lambda: abs(got - y) / max(1.0, abs(y)))
         meta_exponent = exponent
@@ -449,6 +461,8 @@ def _run_value(args: argparse.Namespace) -> int:
 
 
 def _run_budget(args: argparse.Namespace) -> int:
+    from . import budget_dynamics as bd
+
     cfg = _load_config(args.config)
     sec = _section(cfg, "budget")
     fmt, out = _output_options(args, cfg)
@@ -529,14 +543,16 @@ def _run_budget(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
+    from . import sweep as sw
+
     cfg = _load_config(args.config)
     sec = _section(cfg, "sweep")
     fmt, out = _output_options(args, cfg)
 
     model = string(sec, "model")
-    if model not in BINDINGS:
+    if model not in sw.BINDINGS:
         raise InvariantViolation(
-            f"'model' must be one of {sorted(BINDINGS)}, got {model!r}"
+            f"'model' must be one of {sorted(sw.BINDINGS)}, got {model!r}"
         )
     base = _section(sec, "base", {})
     if "mode" in sec:
@@ -557,9 +573,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
     if kind == "stability_region":
         if model != "budget":
             raise InvariantViolation("a stability region requires the budget model")
-        result = stability_region(base, grid)
+        result = sw.stability_region(base, grid)
     elif kind == "sweep":
-        result = sweep(BINDINGS[model], base, grid)
+        result = sw.sweep(sw.BINDINGS[model], base, grid)
     else:
         raise InvariantViolation(f"'kind' must be sweep or stability_region, got {kind!r}")
 
@@ -697,7 +713,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p_budget)
     p_budget.add_argument(
         "--mode",
-        choices=bd.MODES,
+        choices=MODES,
         default=None,
         help="recurrence convention (default: config mode or direct)",
     )

@@ -20,6 +20,10 @@ import numpy as np
 
 from .errors import InvariantViolation
 
+# The budget recurrence's conventions (see ecodyn.budget_dynamics), kept
+# here so the command line can offer them without loading that model.
+MODES = ("direct", "incremental")
+
 
 class Bound(NamedTuple):
     """The closed interval [lower, upper] of admissible values.

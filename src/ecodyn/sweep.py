@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, partial
+from functools import partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -26,80 +26,8 @@ from . import budget_dynamics as bd
 from . import value_feedback as vf
 from . import wage_profit as wp
 from .errors import NOT_FINITE_NOTE, OVERFLOW_NOTE, EcodynError, InvariantViolation, finite
-from .schema import BOUND_NOTE, declared, factor_pairs, first_failing, number, read
-
-
-@dataclass(frozen=True)
-class Axis:
-    """One swept parameter: an inclusive range sampled at evenly spaced points."""
-
-    name: str
-    lower: float
-    upper: float
-    points: int
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise InvariantViolation("axis name must be non-empty")
-        if self.points < 1:
-            raise InvariantViolation(f"axis needs at least 1 point, got {self.points}")
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise InvariantViolation("axis bounds must be finite")
-        if not math.isfinite(self.upper - self.lower):
-            raise InvariantViolation(f"axis {self.name!r} spans past the float range")
-        if self.points > 1 and not self.lower < self.upper:
-            raise InvariantViolation(
-                f"axis {self.name!r} needs lower < upper, got "
-                f"[{self.lower}, {self.upper}]"
-            )
-
-    def grid(self) -> list[float]:
-        return np.linspace(self.lower, self.upper, self.points).tolist()
-
-
-@dataclass(frozen=True)
-class ParamGrid:
-    """Cartesian product of one or more axes, row-major."""
-
-    axes: tuple[Axis, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", tuple(self.axes))
-        if not self.axes:
-            raise InvariantViolation("a sweep needs at least one axis")
-        names = [a.name for a in self.axes]
-        if len(set(names)) != len(names):
-            raise InvariantViolation(f"duplicate axis names: {names}")
-
-    @property
-    def cells(self) -> int:
-        n = 1
-        for a in self.axes:
-            n *= a.points
-        return n
-
-    @cached_property
-    def indices(self) -> dict[str, np.ndarray]:
-        """Per axis, the position in its grid of each cell's coordinate, row-major.
-
-        Built once per grid and read-only, so a sweep's coordinate columns
-        and the writers' coordinate text share the same arrays. Each holds
-        the smallest unsigned integer type its axis needs."""
-        indices = {}
-        inner, outer = self.cells, 1
-        for a in self.axes:
-            inner //= a.points
-            positions = np.arange(a.points, dtype=np.min_scalar_type(a.points - 1))
-            index = np.tile(np.repeat(positions, inner), outer)
-            index.flags.writeable = False
-            indices[a.name] = index
-            outer *= a.points
-        return indices
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """One coordinate column per axis, one entry per cell, row-major."""
-        indices = self.indices.values()
-        return {a.name: np.array(a.grid())[index] for a, index in zip(self.axes, indices)}
+from .grid import Axis, ParamGrid  # Axis is re-exported with ParamGrid
+from .schema import BOUND_NOTE, declared, factor_pairs, first_failing, number
 
 
 @dataclass(frozen=True)
@@ -203,16 +131,11 @@ def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> tuple[np.ndarra
     return powers, overflow
 
 
-def cost_structure(params: Mapping[str, Any]) -> wp.CostStructure:
-    """The wage model's cost structure from a parameter or config mapping."""
-    return read(wp.CostStructure, params, other_factors=factor_pairs(params, "other_factors"))
-
-
 def _wage_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
     notes = _Notes(cells)
     wage = params["wage"]  # the model's only axis
     try:
-        cs = cost_structure(params)
+        cs = wp.cost_structure(params)
         notes.add(wage <= 0.0, wp._WAGE_NOTE.format, wage)
         margin = wp.gross_margin(cs)
     except EcodynError as exc:
@@ -302,10 +225,11 @@ def check_binding(
 ) -> None:
     """Reject bad sweep setups before any cell is evaluated.
 
-    Axes must be ones the model can sweep, every required parameter must
-    be in base or on an axis, and base values must be what the single-run
-    subcommands read: the type, and a budget mode's or horizon's value. Values
-    are not converted, and other values out of range are left for the cells.
+    Axes must be ones the model can sweep, base may hold only keys the
+    model reads, every required parameter must be in base or on an axis,
+    and base values must be what the single-run subcommands read: the
+    type, and a budget mode's or horizon's value. Values are not
+    converted, and other values out of range are left for the cells.
     """
     for axis in grid.axes:
         if axis.name not in binding.allowed_axes:
@@ -313,13 +237,18 @@ def check_binding(
                 f"model {binding.model!r} cannot sweep {axis.name!r}; "
                 f"allowed axes: {binding.allowed_axes}"
             )
+    readers = {**dict.fromkeys(binding.required, number), **binding.optional}
+    unread = [k for k in base if k not in readers]
+    if unread:
+        raise InvariantViolation(
+            f"model {binding.model!r} does not read {unread}; it reads {list(readers)}"
+        )
     axis_names = {a.name for a in grid.axes}
     missing = [k for k in binding.required if k not in base and k not in axis_names]
     if missing:
         raise InvariantViolation(
             f"model {binding.model!r} is missing parameters {missing}"
         )
-    readers = {**dict.fromkeys(binding.required, number), **binding.optional}
     for key, read_value in readers.items():
         if key in base:
             read_value(base, key)

@@ -11,9 +11,10 @@ diverges as the wage goes to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from .errors import DomainError, InvariantViolation, NonpositiveMargin, finite
-from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields
+from .schema import NONNEG, POSITIVE, UNIT, bounded, check_fields, factor_pairs, read
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -46,6 +47,11 @@ class CostStructure:
             raise InvariantViolation(
                 f"cost weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
             )
+
+
+def cost_structure(params: Mapping[str, Any]) -> CostStructure:
+    """The cost structure from a parameter or config mapping."""
+    return read(CostStructure, params, other_factors=factor_pairs(params, "other_factors"))
 
 
 @dataclass(frozen=True)

@@ -621,6 +621,25 @@ BAD_CONFIGS = {
         1,
         "missing integer key 'points'",
     ),
+    # a base key the model does not read, as a misspelt or another model's
+    # key, is an error rather than a sweep that runs without it
+    "sweep-wage-unread-keys": (
+        {
+            "sweep": {
+                "model": "wage",
+                "mode": "sideways",
+                "base": {"max_market_price": 10.0, "labor_weight": 1.0, "horizon": "abc", "florr": 2},
+                "axes": [{"name": "wage", "min": 1.0, "max": 2.0, "points": 3}],
+            }
+        },
+        1,
+        "model 'wage' does not read ['horizon', 'florr', 'mode']",
+    ),
+    "sweep-budget-unread-keys": (
+        _budget_sweep(deficiencies={"tax_collection": 0.5}, horizn=3),
+        1,
+        "model 'budget' does not read ['deficiencies', 'horizn']",
+    ),
     "budget-deficiencies-not-an-object": (
         {"budget": {**BUDGET, "deficiencies": 0.1}},
         1,
@@ -858,11 +877,32 @@ def test_bulk_float_range_encodes_as_repr():
     assert cli._encode(values, None, cli._CSV_TEXT) == expected
 
 
+MODELS = ("budget_dynamics", "sweep", "value_feedback", "wage_profit", "oracles", "audit")
+
+
 def test_importing_the_cli_leaves_orjson_unloaded():
-    # nor the audit, which only verify runs
-    code = "import sys, ecodyn.cli; print('orjson' in sys.modules, 'ecodyn.audit' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout == "False False\n"
+    # nor any model: each subcommand imports the ones it runs
+    code = (
+        "import sys\n"
+        "models = [f'ecodyn.{m}' for m in sys.argv[1:]]\n"
+        "import ecodyn\n"
+        "print([m for m in models if m in sys.modules])\n"
+        "import ecodyn.cli\n"
+        "print([m for m in ['orjson', *models] if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *MODELS], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n[]\n"
+
+
+def test_a_value_run_loads_only_its_models():
+    # -v writes "import 'name' # loader" to stderr for every module loaded
+    argv = ["-v", "-m", "ecodyn", "value", "--config", str(DATA / "value_curve.json")]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "value_curve.csv").read_text()
+    loaded = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
+    assert {"ecodyn.value_feedback", "ecodyn.oracles"} <= loaded
+    assert not loaded & {f"ecodyn.{m}" for m in ("budget_dynamics", "sweep", "wage_profit", "audit")}
 
 
 RECORD_ROUTE_SWEEPS = [
