@@ -31,10 +31,9 @@ _HOMES: dict[str, tuple[str, str]] = {
         "market_gap gap_from_gains limit_probe",
         "budget_dynamics": "BudgetParams RecurrenceCoefficients StabilityReport "
         "DegenerateRange DivergentFixedPoint DeficiencyFactors DeficiencyAdjusted "
-        "SpendingInputs WelfareInputs spending_index welfare_index apply_deficiencies "
-        "flow_balance investments annual_change coefficients iterate fixed_point "
-        "closed_form impulse_response tax_leverage taxation_range shrink_condition "
-        "stability_report",
+        "apply_deficiencies flow_balance investments annual_change coefficients iterate "
+        "fixed_point closed_form impulse_response tax_leverage taxation_range "
+        "shrink_condition stability_report",
         "oracles": "IntegrationSpec DiffSpec rk4_integrate central_diff_first "
         "central_diff_second grid_argmax",
         "grid": "Axis ParamGrid",

@@ -24,7 +24,7 @@ from . import oracles
 from . import value_feedback as vf
 from . import wage_profit as wp
 from .errors import InvariantViolation
-from .schema import first_failing
+from .schema import NONNEG, first_failing
 
 DEFAULT_SEED = 1729
 
@@ -485,7 +485,9 @@ def run_all(
     """Run every check, with optional per-check tolerance overrides.
 
     Unknown override names are rejected up front so a typo cannot
-    silently leave the intended check at its default.
+    silently leave the intended check at its default, and so are values
+    that are not finite and >= 0: a NaN or negative tolerance fails any
+    check and an infinite one passes any.
     """
     tolerances = default_tolerances()
     if overrides:
@@ -495,6 +497,8 @@ def run_all(
                 f"unknown check names in tolerance overrides: {unknown}; "
                 f"known checks: {sorted(tolerances)}"
             )
+        for name, tol in overrides.items():
+            NONNEG.check(f"tolerance {name!r}", tol)
         tolerances.update(overrides)
     results = []
     for check in CHECKS:

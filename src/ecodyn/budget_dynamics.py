@@ -23,8 +23,6 @@ import numpy as np
 from .errors import InvariantViolation
 from .schema import MODES, NONNEG, POSITIVE, UNIT, bounded, check_fields, integer, string
 
-WEIGHT_SUM_TOL = 1e-12
-
 
 def _check_mode(mode: str) -> str:
     if mode not in MODES:
@@ -173,54 +171,6 @@ class DeficiencyAdjusted:
 
 
 @dataclass(frozen=True)
-class SpendingInputs:
-    """Weighted government spending categories; weights sum to 1."""
-
-    weights: tuple[float, ...]
-    levels: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "levels", tuple(float(g) for g in self.levels))
-        if len(self.weights) != len(self.levels):
-            raise InvariantViolation("weights and levels must have equal length")
-        if not self.weights:
-            raise InvariantViolation("at least one spending category is required")
-        for w in self.weights:
-            UNIT.check("spending weight", w)
-        for g in self.levels:
-            NONNEG.check("spending level", g)
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise InvariantViolation(
-                f"spending weights must sum to 1, got {sum(self.weights)!r}"
-            )
-
-
-@dataclass(frozen=True)
-class WelfareInputs:
-    """Weighted hardship indicators, each in [0, 1]; weights sum to 1."""
-
-    weights: tuple[float, ...]
-    hardships: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "hardships", tuple(float(h) for h in self.hardships))
-        if len(self.weights) != len(self.hardships):
-            raise InvariantViolation("weights and hardships must have equal length")
-        if not self.weights:
-            raise InvariantViolation("at least one welfare indicator is required")
-        for w in self.weights:
-            UNIT.check("welfare weight", w)
-        for h in self.hardships:
-            UNIT.check("hardship level", h)
-        if abs(sum(self.weights) - 1.0) > WEIGHT_SUM_TOL:
-            raise InvariantViolation(
-                f"welfare weights must sum to 1, got {sum(self.weights)!r}"
-            )
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     """Everything the stability analysis of one parameter set produces.
 
@@ -241,22 +191,6 @@ class StabilityReport:
     shrinking: bool
 
     @property
-    def t_lower(self) -> float | None:
-        if isinstance(self.stable_tax_range, tuple):
-            return self.stable_tax_range[0]
-        return None
-
-    @property
-    def t_upper(self) -> float | None:
-        if isinstance(self.stable_tax_range, tuple):
-            return self.stable_tax_range[1]
-        return None
-
-    @property
-    def range_degenerate(self) -> bool:
-        return isinstance(self.stable_tax_range, DegenerateRange)
-
-    @property
     def tax_in_stable_range(self) -> bool | None:
         """Whether the configured tax rate falls in the stable interval.
 
@@ -268,16 +202,6 @@ class StabilityReport:
             return None
         lo, hi = self.stable_tax_range
         return lo <= self.tax_rate <= hi
-
-
-def spending_index(inputs: SpendingInputs) -> float:
-    """Aggregate government spending level across weighted categories."""
-    return sum(w * g for w, g in zip(inputs.weights, inputs.levels))
-
-
-def welfare_index(inputs: WelfareInputs) -> float:
-    """Aggregate welfare level: weighted average of one minus hardship."""
-    return sum(w * (1.0 - h) for w, h in zip(inputs.weights, inputs.hardships))
 
 
 def apply_deficiencies(

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, EcodynError, InvariantViolation, NumericalFailure, finite
 from .grid import Axis, ParamGrid
-from .schema import MODES, integer, is_number, number, read, string
+from .schema import MODES, check_keys, integer, is_number, number, read, string
 
 # Each subcommand imports the models it runs, so a run loads no other
 # model; they are read as module attributes at call time.
@@ -83,6 +83,7 @@ def _grid_values(section: dict[str, Any]) -> list[float]:
     spec = section.get("grid")
     if not isinstance(spec, dict):
         raise InvariantViolation("section needs a 'grid' object with min/max/points")
+    check_keys(spec, "section 'grid'", "min", "max", "points")
     return _axis("grid", spec).grid()
 
 
@@ -303,6 +304,7 @@ def _emit(
 
 def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str, str | None]:
     out_cfg = _section(cfg, "output", {})
+    check_keys(out_cfg, "section 'output'", "format", "path")
     fmt = args.format or string(out_cfg, "format", "csv")
     if fmt not in ("csv", "json"):
         raise InvariantViolation(f"output format must be csv or json, got {fmt!r}")
@@ -315,6 +317,7 @@ def _run_wage(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args.config)
     sec = _section(cfg, "wage")
+    check_keys(sec, "section 'wage'", wp.CostStructure, wp.WageBound, "grid")
     fmt, out = _output_options(args, cfg)
     cs = wp.cost_structure(sec)
     wages = _grid_values(sec) if "grid" in sec else []
@@ -376,6 +379,8 @@ def _run_value(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args.config)
     sec = _section(cfg, "value")
+    reads = (vf.FeedbackGains, vf.MarketValueSolution, "grid", "rk4_steps", "probe")
+    check_keys(sec, "section 'value'", *reads)
     fmt, out = _output_options(args, cfg)
 
     if "probe" in sec:
@@ -384,6 +389,7 @@ def _run_value(args: argparse.Namespace) -> int:
         probe_sec = sec["probe"]
         if not isinstance(probe_sec, dict):
             raise InvariantViolation("'probe' must be an object")
+        check_keys(probe_sec, "section 'probe'", "true_value", "exponents")
         exponents = probe_sec.get("exponents")
         if not isinstance(exponents, list) or not exponents or not all(map(is_number, exponents)):
             raise InvariantViolation("'probe' needs a non-empty 'exponents' list of numbers")
@@ -465,6 +471,7 @@ def _run_budget(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args.config)
     sec = _section(cfg, "budget")
+    check_keys(sec, "section 'budget'", bd.BudgetParams, "horizon", "mode", "deficiencies")
     fmt, out = _output_options(args, cfg)
     config_mode = bd.read_mode(sec)  # checked even when --mode overrides it
     mode = args.mode or config_mode
@@ -473,7 +480,9 @@ def _run_budget(args: argparse.Namespace) -> int:
     params = read(bd.BudgetParams, sec)
     balance_note = ""
     if sec.get("deficiencies") is not None:
-        factors = read(bd.DeficiencyFactors, _section(sec, "deficiencies"))
+        deficiencies = _section(sec, "deficiencies")
+        check_keys(deficiencies, "section 'deficiencies'", bd.DeficiencyFactors)
+        factors = read(bd.DeficiencyFactors, deficiencies)
         adjusted = bd.apply_deficiencies(params, factors)
         params = adjusted.as_params(params)
         eroded = adjusted.scale_balance(bd.flow_balance(params))
@@ -547,6 +556,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
     cfg = _load_config(args.config)
     sec = _section(cfg, "sweep")
+    check_keys(sec, "section 'sweep'", "model", "kind", "mode", "base", "axes")
     fmt, out = _output_options(args, cfg)
 
     model = string(sec, "model")
@@ -566,6 +576,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     for spec in axes_spec:
         if not isinstance(spec, dict):
             raise InvariantViolation("each axis needs name/min/max/points")
+        check_keys(spec, "a sweep axis", "name", "min", "max", "points")
         axes.append(_axis(string(spec, "name"), spec))
     grid = ParamGrid(tuple(axes))
     kind = string(sec, "kind", "sweep")

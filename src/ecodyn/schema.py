@@ -139,6 +139,22 @@ def factor_pairs(section: Mapping[str, Any], key: str) -> tuple[tuple[float, flo
     return tuple(map(tuple, pairs))
 
 
+def check_keys(section: Mapping[str, Any], owner: str, *reads: str | type) -> None:
+    """Reject the keys of section that nothing reads, as a misspelt key,
+    rather than run without them; reads names the keys that are read, a
+    dataclass standing for its fields."""
+    known = list(
+        dict.fromkeys(
+            name
+            for r in reads
+            for name in ([f.name for f in fields(r)] if isinstance(r, type) else [r])
+        )
+    )
+    unread = [k for k in section if k not in known]
+    if unread:
+        raise InvariantViolation(f"{owner} does not read {unread}; it reads {known}")
+
+
 def read(cls: type, section: Mapping[str, Any], **given: Any) -> Any:
     """cls from a config mapping; fields not given are read with number()."""
     values = {f.name: number(section, f.name, f.default) for f in fields(cls) if f.name not in given}

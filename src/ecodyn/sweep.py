@@ -23,11 +23,9 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from . import budget_dynamics as bd
-from . import value_feedback as vf
-from . import wage_profit as wp
 from .errors import NOT_FINITE_NOTE, OVERFLOW_NOTE, EcodynError, InvariantViolation, finite
 from .grid import Axis, ParamGrid  # Axis is re-exported with ParamGrid
-from .schema import BOUND_NOTE, declared, factor_pairs, first_failing, number
+from .schema import BOUND_NOTE, check_keys, declared, factor_pairs, first_failing, number
 
 
 @dataclass(frozen=True)
@@ -132,6 +130,8 @@ def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> tuple[np.ndarra
 
 
 def _wage_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
+    from . import wage_profit as wp  # here, not at the top: a budget sweep loads no other model
+
     notes = _Notes(cells)
     wage = params["wage"]  # the model's only axis
     try:
@@ -146,6 +146,8 @@ def _wage_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) 
 
 
 def _value_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
+    from . import value_feedback as vf
+
     notes = _Notes(cells)
     exponent, x = _float_columns([params["exponent"], params["true_value"]], cells)
     singular = exponent == 1.0
@@ -238,11 +240,7 @@ def check_binding(
                 f"allowed axes: {binding.allowed_axes}"
             )
     readers = {**dict.fromkeys(binding.required, number), **binding.optional}
-    unread = [k for k in base if k not in readers]
-    if unread:
-        raise InvariantViolation(
-            f"model {binding.model!r} does not read {unread}; it reads {list(readers)}"
-        )
+    check_keys(base, f"model {binding.model!r}", *readers)
     axis_names = {a.name for a in grid.axes}
     missing = [k for k in binding.required if k not in base and k not in axis_names]
     if missing:

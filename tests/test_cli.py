@@ -645,6 +645,58 @@ BAD_CONFIGS = {
         1,
         "config section 'deficiencies' must be an object",
     ),
+    # so is a key no object of a subcommand's run reads, in every object
+    # kind; the run would go on without it
+    "wage-unread-key": (
+        {"wage": {**WAGE, "flor": 1.0}},
+        1,
+        "section 'wage' does not read ['flor']; it reads ['max_market_price', "
+        "'labor_weight', 'other_factors', 'floor', 'grid']",
+    ),
+    "wage-grid-unread-key": (
+        {"wage": {**WAGE, "grid": {"min": 1.0, "max": 2.0, "points": 3, "step": 0.5}}},
+        1,
+        "section 'grid' does not read ['step']; it reads ['min', 'max', 'points']",
+    ),
+    "value-unread-key": (
+        {"value": {**VALUE_CURVE, "rk4_step": 10}},
+        1,
+        "section 'value' does not read ['rk4_step']; it reads ['inflation_gain', "
+        "'deflation_gain', 'exponent', 'homog_coeff', 'grid', 'rk4_steps', 'probe']",
+    ),
+    "probe-unread-key": (
+        {"value": {"probe": {"true_value": 2.0, "exponents": [-2.0], "exponent": -3.0}}},
+        1,
+        "section 'probe' does not read ['exponent']; it reads ['true_value', 'exponents']",
+    ),
+    "budget-unread-keys": (
+        {"budget": {**BUDGET, "horizn": 3, "tax_rte": 0.9}},
+        1,
+        "section 'budget' does not read ['horizn', 'tax_rte']; it reads ['tax_rate', "
+        "'spending_split', 'private_fraction', 'invest_share', 'foreign_multiplier', "
+        "'gov_spending', 'initial_wages', 'horizon', 'mode', 'deficiencies']",
+    ),
+    "budget-deficiencies-unread-key": (
+        {"budget": {**BUDGET, "deficiencies": {"tax_colection": 0.5}}},
+        1,
+        "section 'deficiencies' does not read ['tax_colection']; it reads ['tax_collection', "
+        "'work_effort', 'spending_efficiency', 'currency_value']",
+    ),
+    "output-unread-key": (
+        {"budget": BUDGET, "output": {"fromat": "json"}},
+        1,
+        "section 'output' does not read ['fromat']; it reads ['format', 'path']",
+    ),
+    "sweep-section-unread-key": (
+        {"sweep": {"model": "budget", "knd": "stability_region", "base": BUDGET, "axes": TAX_AXIS}},
+        1,
+        "section 'sweep' does not read ['knd']; it reads ['model', 'kind', 'mode', 'base', 'axes']",
+    ),
+    "sweep-axis-unread-key": (
+        {"sweep": {"model": "budget", "base": BUDGET, "axes": [{**TAX_AXIS[0], "step": 0.5}]}},
+        1,
+        "a sweep axis does not read ['step']; it reads ['name', 'min', 'max', 'points']",
+    ),
 }
 
 
@@ -663,6 +715,15 @@ def test_bad_configs_exit_with_one_error_line(tmp_path, capsys, name):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0]
     assert "Traceback" not in err
+
+
+def test_a_config_may_hold_other_subcommands_sections(tmp_path, capsys):
+    # only the objects a subcommand reads are checked for unread keys
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps({"budget": BUDGET, "wage": WAGE, "verification": {}, "notes": 1}))
+    assert run(["budget", "--config", str(path)], capsys)[0] == 0
+    assert run(["wage", "--config", str(path)], capsys)[0] == 0
+    assert run(["verify", "--config", str(path)], capsys)[0] == 0
 
 
 def test_a_config_that_is_not_an_object_exits_with_one_error_line(tmp_path, capsys):
@@ -905,6 +966,16 @@ def test_a_value_run_loads_only_its_models():
     assert not loaded & {f"ecodyn.{m}" for m in ("budget_dynamics", "sweep", "wage_profit", "audit")}
 
 
+def test_a_budget_sweep_loads_only_the_budget_model():
+    argv = ["-v", "-m", "ecodyn", "sweep", "--config", str(DATA / "sweep_budget.json")]
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "sweep_budget.csv").read_text()
+    loaded = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
+    assert {"ecodyn.budget_dynamics", "ecodyn.sweep"} <= loaded
+    assert not loaded & {f"ecodyn.{m}" for m in ("value_feedback", "wage_profit", "oracles", "audit")}
+
+
 RECORD_ROUTE_SWEEPS = [
     # value: flagged cells for a nonpositive true value and the singular exponent
     (
@@ -1142,6 +1213,19 @@ def test_verify_bad_tolerance_flag(capsys):
     rc, _, err = run(["verify", "--tolerance", "no_such=1e-3"], capsys)
     assert rc == 1
     assert "unknown check names" in err
+    # a NaN or negative tolerance fails any check, an infinite one passes any
+    for value, got in [("nan", "nan"), ("-1", "-1.0"), ("inf", "inf"), ("1e400", "inf")]:
+        rc, out, err = run(["verify", "--tolerance", f"rk4_agreement={value}"], capsys)
+        assert (rc, out) == (1, "")
+        assert err == f"error: tolerance 'rk4_agreement' must be finite and >= 0, got {got}\n"
+
+
+def test_verify_config_rejects_negative_tolerance(tmp_path, capsys):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"verification": {"rk4_agreement": -1}}))
+    rc, out, err = run(["verify", "--config", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: tolerance 'rk4_agreement' must be finite and >= 0, got -1.0\n"
 
 
 def test_module_entry_point():
