@@ -386,6 +386,7 @@ def _run_value(args: argparse.Namespace) -> int:
     if "probe" in sec:
         if "grid" in sec:
             raise InvariantViolation("give either 'probe' or 'grid', not both")
+        check_keys(sec, "section 'value'", "probe")
         probe_sec = sec["probe"]
         if not isinstance(probe_sec, dict):
             raise InvariantViolation("'probe' must be an object")

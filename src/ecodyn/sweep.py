@@ -55,13 +55,13 @@ class ModelBinding:
     lists the numeric keys that must be present in the base parameters or
     as an axis; optional maps the other keys the model reads to the config
     reader that checks them (their type, and a budget mode's or horizon's
-    value); outputs fixes the full column set a sweep can report.
+    value); outputs fixes the columns a sweep reports.
 
-    evaluate_columns(params, cells, outputs), the one evaluator, gets
-    every axis as a numpy column in params and returns at least the
-    requested output columns and one note per cell, "" for a clean cell;
-    noted cells may hold anything, and a column may be missing if all are;
-    the sweep fills both with NaN (False in a bool column).
+    evaluate_columns(params, cells), the one evaluator, gets every axis as
+    a numpy column in params and returns the output columns and one note
+    per cell, "" for a clean cell; noted cells may hold anything, and a
+    column may be missing if all are; the sweep fills both with NaN (False
+    in a bool column).
     """
 
     model: str
@@ -69,7 +69,7 @@ class ModelBinding:
     required: tuple[str, ...]
     optional: dict[str, Callable[[Mapping[str, Any], str], Any]]
     outputs: tuple[str, ...]
-    evaluate_columns: Callable[[dict[str, Any], int, tuple[str, ...]], Evaluated]
+    evaluate_columns: Callable[[dict[str, Any], int], Evaluated]
 
 
 class _Notes:
@@ -97,8 +97,8 @@ class _Notes:
         the values as given, and return the fields as float columns."""
         columns = _float_columns(given, self.open.size)
         first = first_failing(cls, columns)
-        for index, (name, _, _, text) in enumerate(declared(cls)):
-            self.add(first == index, partial(BOUND_NOTE.format, name, text), given[index])
+        for index, (name, bound) in enumerate(declared(cls)):
+            self.add(first == index, partial(BOUND_NOTE.format, name, bound.text), given[index])
         return columns
 
     def not_finite(self, name: str, column: np.ndarray) -> None:
@@ -129,7 +129,7 @@ def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> tuple[np.ndarra
     return powers, overflow
 
 
-def _wage_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
+def _wage_columns(params: dict[str, Any], cells: int) -> Evaluated:
     from . import wage_profit as wp  # here, not at the top: a budget sweep loads no other model
 
     notes = _Notes(cells)
@@ -145,7 +145,7 @@ def _wage_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) 
     return {"net_profit": net_profit}, notes.texts
 
 
-def _value_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
+def _value_columns(params: dict[str, Any], cells: int) -> Evaluated:
     from . import value_feedback as vf
 
     notes = _Notes(cells)
@@ -169,7 +169,9 @@ def _value_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...])
 BUDGET_PARAMS = tuple(field.name for field in fields(bd.BudgetParams))
 
 
-def _budget_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]) -> Evaluated:
+def _budget_columns(params: dict[str, Any], cells: int, final_pool: bool = True) -> Evaluated:
+    """The budget columns; without final_pool, those of a region: the pole
+    and the stable mask."""
     notes = _Notes(cells)
     operands = notes.fields(bd.BudgetParams, [params[name] for name in BUDGET_PARAMS])
     mode = bd.read_mode(params)
@@ -177,7 +179,7 @@ def _budget_columns(params: dict[str, Any], cells: int, outputs: tuple[str, ...]
     pole = coeffs.pole_in_mode(mode)
     notes.not_finite("pole", pole)
     columns = {"pole": pole, "stable": bd._is_stable(pole)}
-    if "final_pool" not in outputs:
+    if not final_pool:
         return columns, notes.texts
     horizon = bd.read_horizon(params)
     try:
@@ -221,6 +223,16 @@ BINDINGS: dict[str, ModelBinding] = {
     ),
 }
 
+# what stability_region() runs: the budget model without a horizon
+REGION = ModelBinding(
+    model="budget",
+    allowed_axes=BUDGET_PARAMS,
+    required=BUDGET_PARAMS,
+    optional={"mode": bd.read_mode},
+    outputs=("pole", "stable"),
+    evaluate_columns=partial(_budget_columns, final_pool=False),
+)
+
 
 def check_binding(
     binding: ModelBinding, base: Mapping[str, Any], grid: ParamGrid
@@ -252,32 +264,18 @@ def check_binding(
             read_value(base, key)
 
 
-def sweep(
-    binding: ModelBinding,
-    base: dict[str, Any],
-    grid: ParamGrid,
-    outputs: tuple[str, ...] | None = None,
-) -> SweepResult:
-    """Evaluate the model over the whole grid.
+def sweep(binding: ModelBinding, base: dict[str, Any], grid: ParamGrid) -> SweepResult:
+    """Evaluate the model over the whole grid into the binding's outputs.
 
-    outputs picks a subset of the binding's outputs, all by default.
     Per-cell rejections become flagged cells, never exceptions.
     """
     check_binding(binding, base, grid)
-    if outputs is None:
-        outputs = binding.outputs
-    unknown = [name for name in outputs if name not in binding.outputs]
-    if unknown:
-        raise InvariantViolation(
-            f"model {binding.model!r} has no outputs {unknown}; "
-            f"available: {binding.outputs}"
-        )
     cells = grid.cells
     with np.errstate(all="ignore"):
-        columns, notes = binding.evaluate_columns({**base, **grid.columns()}, cells, outputs)
+        columns, notes = binding.evaluate_columns({**base, **grid.columns()}, cells)
     flagged = notes != ""
     values = {}
-    for name in outputs:
+    for name in binding.outputs:
         column = columns[name] if name in columns else np.full(cells, math.nan)
         values[name] = np.where(flagged, False if column.dtype == bool else math.nan, column)
     metadata = {
@@ -294,14 +292,13 @@ def sweep(
 
 
 def stability_region(base: dict[str, Any], grid: ParamGrid) -> SweepResult:
-    """Two-axis budget sweep reporting only the pole and the stable mask,
-    in base's mode (direct when absent) as any budget sweep; the metadata
-    records the mode."""
+    """Two-axis REGION sweep: the pole and the stable mask in base's mode
+    (direct when absent) as any budget sweep; the metadata records the mode."""
     if len(grid.axes) != 2:
         raise InvariantViolation(
             f"a stability region needs exactly 2 axes, got {len(grid.axes)}"
         )
-    result = sweep(BINDINGS["budget"], base, grid, ("pole", "stable"))
+    result = sweep(REGION, base, grid)
     result.metadata["kind"] = "stability_region"
     result.metadata["mode"] = bd.read_mode(base)
     return result

@@ -394,6 +394,19 @@ BAD_CONFIGS = {
         1,
         "mode must be one of ('direct', 'incremental'), got 'sideways'",
     ),
+    # a region reads no horizon, so one in its base is an unread key
+    "region-horizon": (
+        {
+            "sweep": {
+                "model": "budget",
+                "kind": "stability_region",
+                "base": {**BUDGET, "horizon": 50},
+                "axes": [*TAX_AXIS, {"name": "invest_share", "min": 0.0, "max": 2.0, "points": 3}],
+            }
+        },
+        1,
+        "model 'budget' does not read ['horizon']",
+    ),
     "sweep-homog-coeff-string": (
         {
             "sweep": {
@@ -669,6 +682,20 @@ BAD_CONFIGS = {
         1,
         "section 'probe' does not read ['exponent']; it reads ['true_value', 'exponents']",
     ),
+    # a probe reads only its own object, never the curve's keys
+    **{
+        f"probe-with-{name}": (
+            {"value": {**extra, "probe": {"true_value": 2.0, "exponents": [-10.0]}}},
+            1,
+            f"section 'value' does not read {list(extra)}; it reads ['probe']",
+        )
+        for name, extra in (
+            ("exponent", {"exponent": -2.0}),
+            ("gains", {"inflation_gain": 0.4, "deflation_gain": 0.9}),
+            ("homog-coeff", {"homog_coeff": 3.0}),
+            ("rk4-steps", {"rk4_steps": 5}),
+        )
+    },
     "budget-unread-keys": (
         {"budget": {**BUDGET, "horizn": 3, "tax_rte": 0.9}},
         1,

@@ -10,6 +10,7 @@ from ecodyn.budget_dynamics import BudgetParams, closed_form, stability_report
 from ecodyn.errors import EcodynError, InvariantViolation, NumericalFailure, finite
 from ecodyn.sweep import (
     BINDINGS,
+    REGION,
     Axis,
     ParamGrid,
     check_binding,
@@ -236,6 +237,17 @@ def test_a_region_result_retains_no_coordinates():
     assert retained < 3_000_000
 
 
+def test_stability_region_reads_no_horizon():
+    # a region never runs the recurrence forward, so a horizon in its base
+    # is an unread key, as a misspelt one is, and not a value it checks
+    grid = ParamGrid(
+        (Axis("tax_rate", 0.0, 1.0, 3), Axis("invest_share", 0.0, 2.0, 3))
+    )
+    for horizon in (50, -5):
+        with pytest.raises(InvariantViolation, match=r"does not read \['horizon'\]"):
+            stability_region({**BUDGET_BASE, "horizon": horizon}, grid)
+
+
 def test_stability_region_needs_two_axes():
     with pytest.raises(InvariantViolation):
         stability_region(BUDGET_BASE, ParamGrid((Axis("tax_rate", 0.0, 1.0, 3),)))
@@ -338,15 +350,17 @@ def _wage_reference(params, outputs):
 REFERENCES = {"budget": _budget_reference, "value": _value_reference, "wage": _wage_reference}
 
 
-def assert_matches_scalar(model, base, grid, outputs=None):
-    """Check every cell against the reference; return the kinds of cell seen.
+def assert_matches_scalar(model, base, grid, binding=None):
+    """Check every cell of a sweep through binding, the model's own by
+    default, against the reference; return the kinds of cell seen.
 
     A clean cell is "pole 1" when its final_pool comes from closed_form's
     limit branch, and a flagged cell is "non-finite" when the reference
     raises NumericalFailure there.
     """
-    result = sweep(BINDINGS[model], base, grid, outputs)
-    outputs = outputs or BINDINGS[model].outputs
+    binding = binding or BINDINGS[model]
+    result = sweep(binding, base, grid)
+    outputs = binding.outputs
     columns = {name: column.tolist() for name, column in grid.columns().items()}
     results = {name: column.tolist() for name, column in result.outputs.items()}
     kinds = set()
@@ -391,8 +405,7 @@ def test_columnar_budget_sweep_matches_scalar_model():
         base = {**BUDGET_BASE, "horizon": horizon}
         kinds = assert_matches_scalar("budget", base, grid)
         assert kinds == {"clean", "pole 1", "rejected"}
-        kinds = assert_matches_scalar("budget", base, grid, ("pole", "stable"))
-        assert kinds == {"clean", "rejected"}
+    assert assert_matches_scalar("budget", BUDGET_BASE, grid, REGION) == {"clean", "rejected"}
     # invest_share crosses 0 in incremental mode
     grid = ParamGrid(
         (Axis("invest_share", -0.5, 0.5, 11), Axis("private_fraction", 0.0, 1.0, 7))
@@ -447,7 +460,7 @@ def test_columnar_budget_sweep_matches_scalar_model():
     ):
         for cells in (grid, split):
             with pytest.raises(InvariantViolation, match=re.escape(message)):
-                sweep(BINDINGS["budget"], {**BUDGET_BASE, **bad}, cells, ("pole", "stable"))
+                sweep(BINDINGS["budget"], {**BUDGET_BASE, **bad}, cells)
 
 
 def test_columnar_value_sweep_matches_scalar_model():
@@ -548,9 +561,3 @@ def test_overflowing_cells_are_flagged_not_raised():
     result = sweep(BINDINGS["value"], {"true_value": 10.0}, grid)
     assert result.flagged.tolist() == [False, False, True, True]
     assert result.notes[-1] == "market_value overflows the float range"
-
-
-def test_sweep_rejects_unknown_output():
-    grid = ParamGrid((Axis("tax_rate", 0.0, 1.0, 3),))
-    with pytest.raises(InvariantViolation):
-        sweep(BINDINGS["budget"], BUDGET_BASE, grid, ("pole", "margin"))
