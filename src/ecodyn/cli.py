@@ -24,7 +24,7 @@ import sys
 from dataclasses import MISSING, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import IO, TYPE_CHECKING, Any, Iterator
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -270,10 +270,10 @@ def _write_json(
 
 
 def _emit(
-    columns: _Columns,
-    metadata: dict[str, Any],
     fmt: str,
     out: str | None,
+    columns: _Columns,
+    metadata: dict[str, Any],
     holes: np.ndarray | None = None,
     sparse: tuple[str, ...] = (),
 ) -> None:
@@ -302,30 +302,28 @@ def _emit(
         raise
 
 
-def _output_options(args: argparse.Namespace, cfg: dict[str, Any]) -> tuple[str, str | None]:
-    out_cfg = _section(cfg, "output", {})
-    check_keys(out_cfg, "section 'output'", "format", "path")
-    fmt = args.format or string(out_cfg, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise InvariantViolation(f"output format must be csv or json, got {fmt!r}")
-    out = args.out or string(out_cfg, "path", None)
-    return fmt, out
+class _Table(NamedTuple):
+    """The rows a data subcommand writes. Rows marked in holes leave the
+    columns named in sparse empty (see _emit)."""
+
+    columns: _Columns
+    metadata: dict[str, Any]
+    holes: np.ndarray | None = None
+    sparse: tuple[str, ...] = ()
 
 
-def _run_wage(args: argparse.Namespace) -> int:
+def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
     from . import wage_profit as wp
 
-    cfg = _load_config(args.config)
-    sec = _section(cfg, "wage")
     check_keys(sec, "section 'wage'", wp.CostStructure, wp.WageBound, "grid")
-    fmt, out = _output_options(args, cfg)
     cs = wp.cost_structure(sec)
     wages = _grid_values(sec) if "grid" in sec else []
+    bound = read(wp.WageBound, sec) if "floor" in sec else None
 
     _say(f"gross margin: {wp.gross_margin(cs)!r}")
     sign_at: float | None = wages[0] if wages else None
-    if "floor" in sec:
-        best = wp.optimal_wage(cs, read(wp.WageBound, sec))
+    if bound is not None:
+        best = wp.optimal_wage(cs, bound)
         if isinstance(best, wp.UnboundedProfit):
             _say(
                 "optimal wage: unbounded (no wage floor; net profit per unit "
@@ -355,9 +353,8 @@ def _run_wage(args: argparse.Namespace) -> int:
             "first_derivative": [d1 for d1, _ in derivatives],
             "second_derivative": [d2 for _, d2 in derivatives],
         }
-        metadata = {"command": "wage", "rows": len(points)}
-        _emit(columns, metadata, fmt, out)
-    return 0
+        return _Table(columns, {"command": "wage", "rows": len(points)})
+    return None
 
 
 def _value_exponent(sec: dict[str, Any]) -> float | vf.BalancedFeedback:
@@ -373,15 +370,12 @@ def _value_exponent(sec: dict[str, Any]) -> float | vf.BalancedFeedback:
     return number(sec, "exponent")
 
 
-def _run_value(args: argparse.Namespace) -> int:
+def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     from . import oracles
     from . import value_feedback as vf
 
-    cfg = _load_config(args.config)
-    sec = _section(cfg, "value")
     reads = (vf.FeedbackGains, vf.MarketValueSolution, "grid", "rk4_steps", "probe")
     check_keys(sec, "section 'value'", *reads)
-    fmt, out = _output_options(args, cfg)
 
     if "probe" in sec:
         if "grid" in sec:
@@ -411,8 +405,7 @@ def _run_value(args: argparse.Namespace) -> int:
             "divergent": result.divergent,
             "rows": len(result.points),
         }
-        _emit(columns, metadata, fmt, out)
-        return 0
+        return _Table(columns, metadata)
 
     exponent = _value_exponent(sec)
     xs = _grid_values(sec)
@@ -462,18 +455,13 @@ def _run_value(args: argparse.Namespace) -> int:
         "rk4_steps": steps,
         "rows": len(xs),
     }
-    columns = {"true_value": xs, "market_value": market, "rk4_error": errors}
-    _emit(columns, metadata, fmt, out)
-    return 0
+    return _Table({"true_value": xs, "market_value": market, "rk4_error": errors}, metadata)
 
 
-def _run_budget(args: argparse.Namespace) -> int:
+def _budget(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     from . import budget_dynamics as bd
 
-    cfg = _load_config(args.config)
-    sec = _section(cfg, "budget")
     check_keys(sec, "section 'budget'", bd.BudgetParams, "horizon", "mode", "deficiencies")
-    fmt, out = _output_options(args, cfg)
     config_mode = bd.read_mode(sec)  # checked even when --mode overrides it
     mode = args.mode or config_mode
     horizon = bd.read_horizon(sec)
@@ -499,13 +487,8 @@ def _run_budget(args: argparse.Namespace) -> int:
         f"coefficients: balance_gain={coeffs.balance_gain!r} "
         f"invest_gain={coeffs.invest_gain!r} constant_flow={coeffs.constant_flow!r}"
     )
-    if abs(report.pole) < 1.0:
-        pole_status = "stable"
-    elif abs(report.pole) == 1.0:
-        pole_status = "marginal"
-    else:
-        pole_status = "unstable"
-    _say(f"pole: {report.pole!r} ({pole_status})")
+    status = "marginal" if abs(report.pole) == 1.0 else "stable" if report.stable else "unstable"
+    _say(f"pole: {report.pole!r} ({status})")
     if isinstance(report.fixed_point, bd.DivergentFixedPoint):
         _say(
             "fixed point: divergent (pole exactly 1 with nonzero constant "
@@ -548,17 +531,13 @@ def _run_budget(args: argparse.Namespace) -> int:
         "rows": len(levels),
     }
     columns = {"step": steps, "iterated": levels, "closed_form": closed, "abs_diff": diffs}
-    _emit(columns, metadata, fmt, out)
-    return 0
+    return _Table(columns, metadata)
 
 
-def _run_sweep(args: argparse.Namespace) -> int:
+def _sweep(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     from . import sweep as sw
 
-    cfg = _load_config(args.config)
-    sec = _section(cfg, "sweep")
     check_keys(sec, "section 'sweep'", "model", "kind", "mode", "base", "axes")
-    fmt, out = _output_options(args, cfg)
 
     model = string(sec, "model")
     if model not in sw.BINDINGS:
@@ -601,9 +580,26 @@ def _run_sweep(args: argparse.Namespace) -> int:
         f"{flagged} flagged"
     )
     columns: _Columns = {**_coordinates(grid), **result.outputs, "flagged": result.flagged}
-    if fmt == "json":
+    if args.format == "json":
         columns["note"] = np.array(result.notes, dtype=object)
-    _emit(columns, result.metadata, fmt, out, result.flagged, tuple(result.outputs))
+    return _Table(columns, result.metadata, result.flagged, tuple(result.outputs))
+
+
+def _run_data(args: argparse.Namespace) -> int:
+    """Run wage, value, budget or sweep: hand the config's section of that
+    name to args.table, then write the table it returns, if any, in the
+    format and to the path that the flags or the output section give."""
+    cfg = _load_config(args.config)
+    sec = _section(cfg, args.command)
+    out_cfg = _section(cfg, "output", {})
+    check_keys(out_cfg, "section 'output'", "format", "path")
+    args.format = args.format or string(out_cfg, "format", "csv")
+    if args.format not in ("csv", "json"):
+        raise InvariantViolation(f"output format must be csv or json, got {args.format!r}")
+    args.out = args.out or string(out_cfg, "path", None)
+    table = args.table(sec, args)
+    if table is not None:
+        _emit(args.format, args.out, *table)
     return 0
 
 
@@ -669,7 +665,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p: argparse.ArgumentParser) -> None:
+    def add_io(p: argparse.ArgumentParser, table: Callable[..., _Table | None]) -> None:
+        p.set_defaults(run=_run_data, table=table)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument(
             "--out",
@@ -694,7 +691,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "produced."
         ),
     )
-    add_io(p_wage)
+    add_io(p_wage, _wage)
 
     p_value = sub.add_parser(
         "value",
@@ -708,7 +705,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "switches to gap sampling."
         ),
     )
-    add_io(p_value)
+    add_io(p_value, _value)
 
     p_budget = sub.add_parser(
         "budget",
@@ -722,7 +719,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "spending_efficiency, currency_value}."
         ),
     )
-    add_io(p_budget)
+    add_io(p_budget, _budget)
     p_budget.add_argument(
         "--mode",
         choices=MODES,
@@ -742,7 +739,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "model rejects are flagged, not fatal."
         ),
     )
-    add_io(p_sweep)
+    add_io(p_sweep, _sweep)
 
     p_verify = sub.add_parser(
         "verify",
@@ -755,6 +752,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "and from --tolerance flags, flags winning."
         ),
     )
+    p_verify.set_defaults(run=_run_verify)
     p_verify.add_argument(
         "--config",
         default=None,
@@ -782,21 +780,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 
-    handlers = {
-        "wage": _run_wage,
-        "value": _run_value,
-        "budget": _run_budget,
-        "sweep": _run_sweep,
-        "verify": _run_verify,
-    }
     try:
-        return handlers[args.command](args)
-    except InvariantViolation as exc:
-        _say(f"error: {exc}")
-        return 1
+        return args.run(args)
     except EcodynError as exc:
         _say(f"error: {exc}")
-        return 2
+        return 1 if isinstance(exc, InvariantViolation) else 2
 
 
 def entry() -> None:

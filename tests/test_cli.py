@@ -484,6 +484,12 @@ BAD_CONFIGS = {
         2,
         "net_profit is not finite: inf",
     ),
+    # read with the other keys, before the first report line
+    "wage-floor-negative": (
+        {"wage": {**WAGE, "floor": -1}},
+        1,
+        "floor must be finite and >= 0, got -1.0",
+    ),
     "wage-factor-beyond-float-range": (
         {"wage": {**WAGE, "other_factors": [[0.5, 10**400]]}},
         1,
@@ -723,6 +729,12 @@ BAD_CONFIGS = {
         "section 'deficiencies' does not read ['tax_colection']; it reads ['tax_collection', "
         "'work_effort', 'spending_efficiency', 'currency_value']",
     ),
+    # the output object is read before the subcommand's section is checked
+    "output-format-and-section-unread-key": (
+        {"budget": {**BUDGET, "bogus": 1}, "output": {"format": "xml"}},
+        1,
+        "output format must be csv or json, got 'xml'",
+    ),
     "output-unread-key": (
         {"budget": BUDGET, "output": {"fromat": "json"}},
         1,
@@ -741,21 +753,43 @@ BAD_CONFIGS = {
 }
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", BAD_CONFIGS)
-def test_bad_configs_exit_with_one_error_line(tmp_path, capsys, name):
-    cfg, code, message = BAD_CONFIGS[name]
+def _run_bad_config(name, tmp_path, capsys):
+    cfg = BAD_CONFIGS[name][0]
     path = tmp_path / "bad.json"
     text = json.dumps(cfg)
     for placeholder, literal in LITERALS.items():
         text = text.replace(json.dumps(placeholder), literal)
     path.write_text(text)
-    rc, out, err = run([next(iter(cfg)), "--config", str(path)], capsys)
+    return run([next(iter(cfg)), "--config", str(path)], capsys)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", BAD_CONFIGS)
+def test_bad_configs_exit_with_one_error_line(tmp_path, capsys, name):
+    _, code, message = BAD_CONFIGS[name]
+    rc, out, err = _run_bad_config(name, tmp_path, capsys)
     assert rc == code
     assert out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and message in errors[0]
     assert "Traceback" not in err
+
+
+# A config error stops a run before its first report line. An --out that
+# cannot be opened is the exception: the file is opened after the report,
+# so a run that fails earlier never truncates it.
+CONFIG_ERRORS = [
+    name
+    for name, (_, code, _) in BAD_CONFIGS.items()
+    if code == 1 and name != "output-path-in-missing-directory"
+]
+
+
+@pytest.mark.parametrize("name", CONFIG_ERRORS)
+def test_a_config_error_prints_only_its_error_line(tmp_path, capsys, name):
+    rc, _, err = _run_bad_config(name, tmp_path, capsys)
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_a_config_may_hold_other_subcommands_sections(tmp_path, capsys):
@@ -925,7 +959,7 @@ def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
     # --out is removed rather than left holding the first block
     out = tmp_path / "rows.json"
     with pytest.raises(NumericalFailure, match=f"non-finite value {bad!r} as JSON"):
-        cli._emit(columns, {"rows": 4}, "json", str(out))
+        cli._emit("json", str(out), columns, {"rows": 4})
     assert not out.exists()
     # CSV spells them as repr does
     assert _written(cli._write_csv, columns).splitlines()[-1] == f"{bad!r},4"
