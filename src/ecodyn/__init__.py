@@ -41,8 +41,6 @@ _HOMES: dict[str, tuple[str, str]] = {
     }.items()
     for name in names.split()
 }
-_HOMES["run_sweep"] = ("sweep", "sweep")
-_HOMES["sweep_stability_region"] = ("sweep", "stability_region")
 
 _SUBMODULES = {module for module, _ in _HOMES.values()} | {"audit", "cli", "schema"}
 
