@@ -99,18 +99,14 @@ def test_sweep_budget_golden(capsys):
     assert out == (GOLDEN / "sweep_budget.json").read_text()
 
 
-def _stderr_of_each_config(capsys):
-    """Each tests/data config's exit code and exact stderr, one block a run."""
+def test_stderr_golden(capsys):
+    # each tests/data config's exit code and exact stderr, one block a run
     blocks = []
     for path in sorted(DATA.glob("*.json")):
         command = path.name.partition("_")[0]
         rc, _, err = run([command, "--config", str(path)], capsys)
         blocks.append(f"== {command} {path.name}: exit {rc}\n{err}")
-    return "".join(blocks)
-
-
-def test_stderr_golden(capsys):
-    assert _stderr_of_each_config(capsys) == (GOLDEN / "stderr.txt").read_text()
+    assert "".join(blocks) == (GOLDEN / "stderr.txt").read_text()
 
 
 def test_budget_json_structure(capsys):
