@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ PROBE_EXPONENTS = (-5.0, -2.0, -0.5, 2.0, 3.0)
 GAP_TARGETS = ((-10.0, -0.181907), (-100.0, -0.019802), (-1000.0, -0.001998))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     tolerance: float
@@ -55,14 +54,12 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class InfoNote:
+class InfoNote(NamedTuple):
     name: str
     text: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     results: tuple[CheckResult, ...]
     notes: tuple[InfoNote, ...]
 
@@ -332,6 +329,7 @@ def _check_shrink_reachability(tol: float, rng: random.Random):
     )
 
 
+# a dataclass, not a NamedTuple: perfbench's tracer swaps fn with dataclasses.replace
 @dataclass(frozen=True)
 class Check:
     name: str

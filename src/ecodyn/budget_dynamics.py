@@ -16,7 +16,7 @@ added onto the current pool, which shifts the pole by exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ class BudgetParams:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
-class RecurrenceCoefficients:
+class RecurrenceCoefficients(NamedTuple):
     """Linear map of one budget year: next = pole * current + constant_flow.
 
     balance_gain multiplies the wage pool inside the government flow
@@ -102,6 +101,7 @@ class RecurrenceCoefficients:
         return self.pole
 
 
+# not a NamedTuple: tax_in_stable_range tells it from a (lo, hi) tuple by isinstance
 @dataclass(frozen=True)
 class DegenerateRange:
     """Marker: leverage at or below -1 flips the interval algebra, so no
@@ -110,7 +110,6 @@ class DegenerateRange:
     leverage: float
 
 
-@dataclass(frozen=True)
 class DivergentFixedPoint:
     """Marker: the pole sits exactly at 1 with a nonzero constant flow,
     so the trajectory drifts linearly and no fixed point exists."""
@@ -137,8 +136,7 @@ class DeficiencyFactors:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
-class DeficiencyAdjusted:
+class DeficiencyAdjusted(NamedTuple):
     """Loss-adjusted levels, plus the residual scale factor that still
     has to hit the flow balance itself.
 
@@ -170,8 +168,7 @@ class DeficiencyAdjusted:
         )
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     """Everything the stability analysis of one parameter set produces.
 
     ``stable`` means the pole magnitude is at most 1: responses stay

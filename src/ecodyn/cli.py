@@ -143,6 +143,7 @@ def _encode(values: Any, holes: np.ndarray | None, text: _Text) -> list[str]:
     return cells
 
 
+# not a NamedTuple: its len is the row count, and a tuple's len must stay its field count
 @dataclass(frozen=True)
 class _Indexed:
     """A column given as a list of values and, for each row, the position
@@ -156,6 +157,16 @@ class _Indexed:
 
 
 _Columns = dict[str, Any]  # a list, a numpy column or an _Indexed per column
+
+
+class _Table(NamedTuple):
+    """The rows a data subcommand writes. Rows marked in holes leave the
+    columns named in sparse empty (see _emit)."""
+
+    columns: _Columns
+    metadata: dict[str, Any]
+    holes: np.ndarray | None = None
+    sparse: tuple[str, ...] = ()
 
 
 def _coordinates(grid: ParamGrid) -> dict[str, _Indexed]:
@@ -172,12 +183,11 @@ def _coordinates(grid: ParamGrid) -> dict[str, _Indexed]:
 _BLOCK_ROWS = 4096
 
 
-def _row_blocks(
-    columns: _Columns, text: _Text, holes: np.ndarray | None, sparse: tuple[str, ...]
-) -> Iterator[tuple[list[list[str]], np.ndarray]]:
+def _row_blocks(table: _Table, text: _Text) -> Iterator[tuple[list[list[str]], np.ndarray]]:
     """Each block of rows as its cells' text, column by column, with its
     slice of holes, which blank the columns named in sparse. An indexed
     column's values are encoded once; a block gathers their text by index."""
+    columns, _, holes, sparse = table
     texts = {
         name: np.array(_encode(column.values, None, text), dtype=object)
         for name, column in columns.items()
@@ -197,15 +207,13 @@ def _row_blocks(
         yield block, block_holes
 
 
-def _write_csv(
-    columns: _Columns, stream: IO[str], holes: np.ndarray | None = None, sparse: tuple = ()
-) -> None:
+def _write_csv(table: _Table, stream: IO[str]) -> None:
     """Write a header and one line per row, as csv.writer would, with the
     columns named in sparse empty in rows marked in holes. Every table here
     has at least two columns, so csv's special case of a row made of one
     empty field never arises."""
-    stream.write(",".join(map(_csv_quoted, columns)) + "\n")
-    for encoded, _ in _row_blocks(columns, _CSV_TEXT, holes, sparse):
+    stream.write(",".join(map(_csv_quoted, table.columns)) + "\n")
+    for encoded, _ in _row_blocks(table, _CSV_TEXT):
         stream.write("\n".join(map(",".join, zip(*encoded))) + "\n")
 
 
@@ -226,13 +234,7 @@ def _json_keys(names: list[str], leave_out: tuple[str, ...]) -> list[str]:
     return keys
 
 
-def _write_json(
-    columns: _Columns,
-    metadata: dict[str, Any],
-    stream: IO[str],
-    holes: np.ndarray | None = None,
-    sparse: tuple[str, ...] = (),
-) -> None:
+def _write_json(table: _Table, stream: IO[str]) -> None:
     """Write {"metadata": ..., "rows": [...]} as json.dump(indent=2) would.
 
     Rows marked in holes leave out the keys named in sparse. json.dump
@@ -241,19 +243,19 @@ def _write_json(
     worked out once: per row, each column's key text and cell, then the
     closing brace.
     """
-    head = json.dumps({"metadata": metadata, "rows": []}, indent=2)
-    if not len(next(iter(columns.values()), ())):
+    head = json.dumps({"metadata": table.metadata, "rows": []}, indent=2)
+    if not len(next(iter(table.columns.values()), ())):
         stream.write(head + "\n")
         return
-    names = list(columns)
+    names = list(table.columns)
     full = _json_keys(names, ())
-    holed = _json_keys(names, sparse)
+    holed = _json_keys(names, table.sparse)
     # a column's key text in a full row and in a row in a hole
     choices = [np.array(pair, dtype=object) for pair in zip(full, holed)]
     width = 2 * len(names) + 1
     stream.write(head[: head.rindex("[]")] + "[\n")
     skip = len(",\n")  # the first row follows the opening bracket, not a row
-    for encoded, block_holes in _row_blocks(columns, _JSON_TEXT, holes, sparse):
+    for encoded, block_holes in _row_blocks(table, _JSON_TEXT):
         rows = len(block_holes)
         picks = block_holes.astype(np.intp)
         pieces = ["\n    }"] * (rows * width)
@@ -269,26 +271,16 @@ def _write_json(
     stream.write("\n  ]\n}\n")
 
 
-def _emit(
-    fmt: str,
-    out: str | None,
-    columns: _Columns,
-    metadata: dict[str, Any],
-    holes: np.ndarray | None = None,
-    sparse: tuple[str, ...] = (),
-) -> None:
-    """Write the rows as CSV or JSON to out, or to stdout.
+def _emit(fmt: str, out: str | None, table: _Table) -> None:
+    """Write the table's rows as CSV or JSON to out, or to stdout.
 
     Rows marked in holes leave the columns named in sparse empty in CSV
     and out of the JSON row. Rows are written a block at a time, so a write
     that fails on a cell removes out rather than leave part of the table.
     """
-    if fmt == "csv":
-        write = partial(_write_csv, columns)
-    else:
-        write = partial(_write_json, columns, metadata)
+    write = _write_csv if fmt == "csv" else _write_json
     if out is None:
-        write(sys.stdout, holes, sparse)
+        write(table, sys.stdout)
         return
     try:
         fh = open(out, "w", encoding="utf-8", newline="")
@@ -296,20 +288,10 @@ def _emit(
         raise InvariantViolation(f"cannot write output {out!r}: {exc}") from exc
     try:
         with fh:
-            write(fh, holes, sparse)
+            write(table, fh)
     except EcodynError:
         os.remove(out)
         raise
-
-
-class _Table(NamedTuple):
-    """The rows a data subcommand writes. Rows marked in holes leave the
-    columns named in sparse empty (see _emit)."""
-
-    columns: _Columns
-    metadata: dict[str, Any]
-    holes: np.ndarray | None = None
-    sparse: tuple[str, ...] = ()
 
 
 def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
@@ -319,6 +301,7 @@ def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
     cs = wp.cost_structure(sec)
     wages = _grid_values(sec) if "grid" in sec else []
     bound = read(wp.WageBound, sec) if "floor" in sec else None
+    points = wp.profit_curve(cs, wages)  # checks the grid before the report
 
     _say(f"gross margin: {wp.gross_margin(cs)!r}")
     sign_at: float | None = wages[0] if wages else None
@@ -345,7 +328,6 @@ def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
         )
 
     if "grid" in sec:
-        points = wp.profit_curve(cs, wages)
         derivatives = [wp.profit_derivatives(cs, point.wage) for point in points]
         columns = {
             "wage": [point.wage for point in points],
@@ -599,7 +581,7 @@ def _run_data(args: argparse.Namespace) -> int:
     args.out = args.out or string(out_cfg, "path", None)
     table = args.table(sec, args)
     if table is not None:
-        _emit(args.format, args.out, *table)
+        _emit(args.format, args.out, table)
     return 0
 
 

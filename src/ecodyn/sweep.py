@@ -16,9 +16,9 @@ cell's note is the text that call raises. No cell is evaluated alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .grid import Axis, ParamGrid  # Axis is re-exported with ParamGrid
 from .schema import BOUND_NOTE, check_keys, declared, factor_pairs, first_failing, number
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Sweep results as columns, one entry per cell in row-major order.
 
     ``outputs[name]`` is a float64 numpy column (bool for ``stable``),
@@ -47,8 +46,7 @@ class SweepResult:
 Evaluated = tuple[dict[str, np.ndarray], np.ndarray]  # see ModelBinding.evaluate_columns
 
 
-@dataclass(frozen=True)
-class ModelBinding:
+class ModelBinding(NamedTuple):
     """Hooks one model into the sweep engine.
 
     allowed_axes lists the parameter names a sweep may vary; required

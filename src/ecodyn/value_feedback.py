@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import DomainError, SingularExponent, finite
 from .schema import FINITE, NONNEG, bounded, check_fields
@@ -28,7 +29,6 @@ class FeedbackGains:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
 class BalancedFeedback:
     """Marker: the two adjustment costs cancel exactly, the exponent is
     undefined, and market value simply equals true value."""
@@ -63,8 +63,7 @@ class MarketValueSolution:
         return cls(exponent, _default_coeff(exponent))
 
 
-@dataclass(frozen=True)
-class LimitProbeResult:
+class LimitProbeResult(NamedTuple):
     """Gap samples along a sequence of exponents, plus the regime flag.
 
     ``divergent`` is True when the true value sits strictly below 1, where

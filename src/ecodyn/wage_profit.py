@@ -73,7 +73,6 @@ class ProfitPoint:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
 class UnboundedProfit:
     """Marker: with a zero wage floor the profit ratio has no maximum;
     it grows without bound as the wage approaches zero."""

@@ -40,6 +40,23 @@ def test_runs_are_deterministic(report):
     ]
 
 
+def test_each_check_takes_a_replaced_fn(monkeypatch, report):
+    # perfbench/tracer.py times each check by swapping its fn through
+    # dataclasses.replace, so Check must stay a dataclass with that field
+    ran = []
+
+    def replaced(check):
+        def fn(tol, rng):
+            ran.append(check.name)
+            return check.fn(tol, rng)
+
+        return dataclasses.replace(check, fn=fn)
+
+    monkeypatch.setattr(audit, "CHECKS", tuple(map(replaced, audit.CHECKS)))
+    assert audit.run_all() == report
+    assert ran == [c.name for c in audit.CHECKS]
+
+
 def test_unknown_override_is_rejected():
     with pytest.raises(InvariantViolation):
         audit.run_all({"no_such_check": 1e-3})

@@ -336,6 +336,9 @@ BUDGET = {
 TAX_AXIS = [{"name": "tax_rate", "min": 0.0, "max": 1.0, "points": 3}]
 WAGE = {"max_market_price": 10.0, "labor_weight": 0.5, "other_factors": [[0.5, 4.0]]}
 VALUE_CURVE = {"exponent": -2.0, "grid": {"min": 1.0, "max": 2.0, "points": 3}}
+# its 5 sampled points repeat: the max is the float just above the min
+REPEATED_WAGE_GRID = {"min": 1.0, "max": 1.0000000000000002, "points": 5}
+NONPOSITIVE_WAGE_GRID = {"min": -1.0, "max": 1.0, "points": 3}
 
 
 def _budget_sweep(**base):
@@ -485,6 +488,17 @@ BAD_CONFIGS = {
         {"wage": {**WAGE, "floor": -1}},
         1,
         "floor must be finite and >= 0, got -1.0",
+    ),
+    # the grid is checked before the first report line as well
+    "wage-grid-repeated-points": (
+        {"wage": {**WAGE, "floor": 1.0, "grid": REPEATED_WAGE_GRID}},
+        1,
+        "wage grid must be strictly increasing",
+    ),
+    "wage-grid-nonpositive": (
+        {"wage": {**WAGE, "grid": NONPOSITIVE_WAGE_GRID}},
+        2,
+        "wage grid must be positive, got -1.0",
     ),
     "wage-factor-beyond-float-range": (
         {"wage": {**WAGE, "other_factors": [[0.5, 10**400]]}},
@@ -788,6 +802,22 @@ def test_a_config_error_prints_only_its_error_line(tmp_path, capsys, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# a domain error (exit 2) too, with or without a floor to report on
+@pytest.mark.parametrize("floor", [{}, {"floor": 1.0}], ids=["no-floor", "floor"])
+@pytest.mark.parametrize(
+    "grid, code, line",
+    [
+        (REPEATED_WAGE_GRID, 1, "error: wage grid must be strictly increasing\n"),
+        (NONPOSITIVE_WAGE_GRID, 2, "error: wage grid must be positive, got -1.0\n"),
+    ],
+    ids=["repeated", "nonpositive"],
+)
+def test_a_bad_wage_grid_stops_the_run_before_its_report(tmp_path, capsys, floor, grid, code, line):
+    path = tmp_path / "wage.json"
+    path.write_text(json.dumps({"wage": {**WAGE, **floor, "grid": grid}}))
+    assert run(["wage", "--config", str(path)], capsys) == (code, "", line)
+
+
 def test_a_config_may_hold_other_subcommands_sections(tmp_path, capsys):
     # only the objects a subcommand reads are checked for unread keys
     path = tmp_path / "shared.json"
@@ -834,9 +864,9 @@ def _reference_json(rows, metadata):
     return stream.getvalue()
 
 
-def _written(writer, *args):
+def _written(writer, *table):
     stream = io.StringIO()
-    writer(*args, stream)
+    writer(cli._Table(*table), stream)
     return stream.getvalue()
 
 
@@ -872,14 +902,14 @@ def test_writers_match_the_reference_route(monkeypatch):
     }
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     metadata = {"command": "test", "exponent": None, "pole": math.inf, "rows": 4}
-    assert _written(cli._write_csv, columns) == _reference_csv(list(columns), rows)
+    assert _written(cli._write_csv, columns, metadata) == _reference_csv(list(columns), rows)
     # JSON cells must be finite (see test_json_writer_rejects_non_finite_cells)
     columns["x"][2:] = [1e300, -1e-300]
     columns["gap"][2] = -1e300
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     assert _written(cli._write_json, columns, metadata) == _reference_json(rows, metadata)
     empty = {"a": [], "b": []}
-    assert _written(cli._write_csv, empty) == _reference_csv(["a", "b"], [])
+    assert _written(cli._write_csv, empty, metadata) == _reference_csv(["a", "b"], [])
     assert _written(cli._write_json, empty, metadata) == _reference_json([], metadata)
 
     # the ends of a row: a sparse set holding the first or the last column,
@@ -895,14 +925,14 @@ def test_writers_match_the_reference_route(monkeypatch):
             for j, hole in enumerate(WRITER_EDGE_HOLES)
         ]
         written = io.StringIO()
-        cli._write_csv(columns, written, holes, sparse)
+        cli._write_csv(cli._Table(columns, metadata, holes, sparse), written)
         assert written.getvalue() == _reference_csv(list(columns), rows)
         json_rows = [
             {name: v for name, v in row.items() if not (hole and name in sparse)}
             for row, hole in zip(rows, WRITER_EDGE_HOLES)
         ]
         written = io.StringIO()
-        cli._write_json(columns, metadata, written, holes, sparse)
+        cli._write_json(cli._Table(columns, metadata, holes, sparse), written)
         assert written.getvalue() == _reference_json(json_rows, metadata)
 
     # coordinates as axis grids plus a row-major index: three axes, one of a
@@ -934,14 +964,14 @@ def test_writers_match_the_reference_route(monkeypatch):
             for j, hole in enumerate(values["flagged"])
         ]
         written = io.StringIO()
-        cli._write_csv(columns, written, holes, sparse)
+        cli._write_csv(cli._Table(columns, metadata, holes, sparse), written)
         assert written.getvalue() == _reference_csv(list(columns), rows)
         json_rows = [
             {name: v for name, v in row.items() if not (hole and name in sparse)}
             for row, hole in zip(rows, values["flagged"])
         ]
         written = io.StringIO()
-        cli._write_json(columns, metadata, written, holes, sparse)
+        cli._write_json(cli._Table(columns, metadata, holes, sparse), written)
         assert written.getvalue() == _reference_json(json_rows, metadata)
 
 
@@ -955,14 +985,14 @@ def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
     # --out is removed rather than left holding the first block
     out = tmp_path / "rows.json"
     with pytest.raises(NumericalFailure, match=f"non-finite value {bad!r} as JSON"):
-        cli._emit("json", str(out), columns, {"rows": 4})
+        cli._emit("json", str(out), cli._Table(columns, {"rows": 4}))
     assert not out.exists()
     # CSV spells them as repr does
-    assert _written(cli._write_csv, columns).splitlines()[-1] == f"{bad!r},4"
+    assert _written(cli._write_csv, columns, {"rows": 4}).splitlines()[-1] == f"{bad!r},4"
     # a hole is left out, not checked
     holes = np.array([False, False, False, True])
     written = io.StringIO()
-    cli._write_json(columns, {"rows": 4}, written, holes, ("x",))
+    cli._write_json(cli._Table(columns, {"rows": 4}, holes, ("x",)), written)
     assert [row.get("x") for row in json.loads(written.getvalue())["rows"]] == [0.5, 1.5, 2.5, None]
 
 
