@@ -99,6 +99,20 @@ def test_sweep_budget_golden(capsys):
     assert out == (GOLDEN / "sweep_budget.json").read_text()
 
 
+def test_sweep_budget_large_golden(capsys):
+    # final_pool cells from 1e159 to 2e262 and 10 cells whose pole**400
+    # overflows, next to 10 bound notes on two fields; the config sits in
+    # data/extra, out of the tests/data/*.json runs that stderr.txt pins
+    argv = ["sweep", "--config", str(DATA / "extra" / "sweep_budget_large.json")]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0
+    assert out == (GOLDEN / "sweep_budget_large.csv").read_text()
+    assert "swept 30 cells" in err and "20 flagged" in err
+    rc, out, _ = run([*argv, "--format", "json"], capsys)
+    assert rc == 0
+    assert out == (GOLDEN / "sweep_budget_large.json").read_text()
+
+
 def test_stderr_golden(capsys):
     # each tests/data config's exit code and exact stderr, one block a run
     blocks = []
