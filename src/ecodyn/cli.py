@@ -101,10 +101,11 @@ def _json_float(v: float) -> str:
 
 
 # Each format's text of a cell, by the numpy kind of its column. orjson
-# writes float.__repr__'s digits for 0 and for 1e-4 <= |v| < 1e16; "f"
-# gets only the other floats, whose exponent orjson writes without its
-# sign and zero padding, and nan and inf, which it writes as null. "b" is
-# the text of False and of True, which a bool column gathers by its bytes.
+# writes float.__repr__'s text for 0 and for 1e-4 <= |v| < 1e16, and its
+# digits for finite |v| >= 1e16, whose exponent lacks repr's "+"; "f" gets
+# only the nonzero |v| < 1e-4, whose exponent orjson writes without zero
+# padding, and nan and inf, which it writes as null. "b" is the text of
+# False and of True, which a bool column gathers by its bytes.
 _Text = dict[str, Any]
 _CSV_TEXT: _Text = {
     "f": float.__repr__,
@@ -122,16 +123,20 @@ _JSON_TEXT: _Text = {
 
 def _encode(values: Any, holes: np.ndarray | None, text: _Text) -> list[str]:
     """Each cell's text in one format, "" where holes marks it. A float column
-    is one orjson call, and text["f"] redoes its cells outside orjson's range;
+    is one orjson call, with e written as repr's e+ in a block that holds a
+    |v| >= 1e16, and text["f"] redoes its cells outside orjson's range;
     a bool column is one gather."""
     values = np.asarray(values)
     holes = np.zeros(values.shape, dtype=bool) if holes is None else holes
     if values.dtype.kind == "f":
         import orjson  # not at module top: it pulls in uuid and zoneinfo
 
-        cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        encoded = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
         size = np.abs(values)
-        redo = np.flatnonzero(~((size >= 1e-4) & (size < 1e16)) & (values != 0) & ~holes)
+        if (size >= 1e16).any():
+            encoded = encoded.replace("e", "e+")  # cells below 1e-4 are redone
+        cells = encoded.split(",")
+        redo = np.flatnonzero(~((size >= 1e-4) & (size < math.inf)) & (values != 0) & ~holes)
         for k, v in zip(redo.tolist(), values[redo].tolist()):
             cells[k] = text["f"](v)
     elif values.dtype.kind == "b":

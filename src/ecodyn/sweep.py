@@ -82,10 +82,17 @@ class _Notes:
     def add(self, failed: Any, text: Any, value: Any = None) -> np.ndarray:
         """Note text on the open cells in failed (a mask, or True for all)
         and return the notes; with a value (a column, or one value for every
-        cell) text is a function of one cell's value."""
+        cell) text is a function of one cell's value.
+
+        text runs once per distinct value, found by its bits: 0.0 == -0.0,
+        but repr tells them apart."""
         cells = np.flatnonzero(failed & self.open)
-        if value is not None:
-            text = list(map(text, np.broadcast_to(value, self.open.shape)[cells].tolist()))
+        if isinstance(value, np.ndarray):
+            column = value[cells]
+            distinct, where = np.unique(column.view(np.uint64), return_inverse=True)
+            text = np.array(list(map(text, distinct.view(column.dtype).tolist())), dtype=object)[where]
+        elif value is not None:
+            text = text(value)
         self.texts[cells] = text
         self.open[cells] = False
         return self.texts
@@ -109,17 +116,26 @@ def _float_columns(values: list[Any], cells: int) -> list[np.ndarray]:
     return [v if isinstance(v, np.ndarray) else np.full(cells, float(v)) for v in values]
 
 
+# Python's float pow as a ufunc: no Python-level loop, the same C pow per element
+_POW = np.frompyfunc(pow, 2, 1)
+
+
 def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """base**exponent per element with Python's float pow, and the mask of
     cells where pow raised OverflowError; skipped cells compute 1.0**exponent.
 
     numpy's vectorised power can differ from Python's in the last ulp,
-    which would break bit equality with the scalar model functions.
+    which would break bit equality with the scalar model functions. An
+    OverflowError aborts the ufunc, so only then does a loop find the cells.
     """
-    bases = np.where(skip, 1.0, base).tolist()
+    bases = np.where(skip, 1.0, base)
+    try:
+        return _POW(bases, exponent).astype(float), np.zeros(base.shape, dtype=bool)
+    except OverflowError:
+        pass
     exponents = np.broadcast_to(exponent, base.shape).tolist()
     powers, overflow = np.ones(base.shape), np.zeros(base.shape, dtype=bool)
-    for k, (b, e) in enumerate(zip(bases, exponents)):
+    for k, (b, e) in enumerate(zip(bases.tolist(), exponents)):
         try:
             powers[k] = b**e
         except OverflowError:

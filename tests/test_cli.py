@@ -1039,18 +1039,50 @@ def test_float_columns_encode_as_each_cell_alone(drawn, data):
     assert cli._encode(np.array(values), holes, cli._JSON_TEXT) == expected
 
 
+def _random_doubles(seed, count, exponents):
+    """count doubles with random mantissas and signs, their binary exponents
+    drawn from the range exponents (-1023 gives subnormals)."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**52, count, dtype=np.uint64)
+    bits |= rng.integers(1023 + exponents.start, 1023 + exponents.stop, count, dtype=np.uint64) << np.uint64(52)
+    bits |= rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+    return bits.view(np.float64)
+
+
 def test_bulk_float_range_encodes_as_repr():
     # random mantissas and signs with exponents -14 to 53, so magnitudes in
     # [2**-14, 2**54), kept inside [1e-4, 1e16)
-    rng = np.random.default_rng(20261018)
-    bits = rng.integers(0, 2**52, 150_000, dtype=np.uint64)
-    bits |= rng.integers(1023 - 14, 1023 + 54, bits.size, dtype=np.uint64) << np.uint64(52)
-    bits |= rng.integers(0, 2, bits.size, dtype=np.uint64) << np.uint64(63)
-    x = bits.view(np.float64)
+    x = _random_doubles(20261018, 150_000, range(-14, 54))
     values = x[(abs(x) >= 1e-4) & (abs(x) < 1e16)][:100_000]
     assert len(values) == 100_000
     expected = list(map(float.__repr__, values.tolist()))
     assert cli._encode(values, None, cli._CSV_TEXT) == expected
+
+
+def test_floats_from_1e16_up_encode_as_repr():
+    # orjson writes 1.5e16 where repr writes 1.5e+16, and the block's text
+    # gets repr's sign back: exponents 53 to 1023, so magnitudes from 1e16 to
+    # the largest double, both signs, with each power of ten in that range
+    x = _random_doubles(20261019, 150_000, range(53, 1024))
+    tens = [10.0**k for k in range(16, 309)] + [sys.float_info.max]
+    large = np.concatenate([x[abs(x) >= 1e16][:100_000], tens, np.negative(tens)])
+    assert len(large) == 100_000 + 2 * 294
+    expected = list(map(float.__repr__, large.tolist()))
+    assert cli._encode(large, None, cli._CSV_TEXT) == expected
+    assert cli._encode(large, None, cli._JSON_TEXT) == expected
+    # blocks that mix them with nonzero cells below 1e-4, zeros, nan, inf
+    # and holes, and a block whose only large cells are holes
+    small = _random_doubles(20261020, 5_000, range(-1023, -14))
+    odd = [0.0, -0.0, math.nan, math.inf, -math.inf] * 40
+    rng = np.random.default_rng(20261021)
+    mixed = rng.permutation(np.concatenate([large[:5_000], small, odd]))
+    holes = rng.random(mixed.size) < 0.25
+    for values, holes in [(mixed, holes), (mixed[:4096], abs(mixed[:4096]) >= 1e16)]:
+        expected = ["" if hole else repr(v) for v, hole in zip(values.tolist(), holes.tolist())]
+        assert cli._encode(values, holes, cli._CSV_TEXT) == expected
+        holes = holes | ~np.isfinite(values)  # JSON refuses nan and inf
+        expected = ["" if hole else repr(v) for v, hole in zip(values.tolist(), holes.tolist())]
+        assert cli._encode(values, holes, cli._JSON_TEXT) == expected
 
 
 MODELS = ("budget_dynamics", "sweep", "value_feedback", "wage_profit", "oracles", "audit")

@@ -13,6 +13,8 @@ from ecodyn.sweep import (
     REGION,
     Axis,
     ParamGrid,
+    _Notes,
+    _power,
     check_binding,
     stability_region,
     sweep,
@@ -561,3 +563,54 @@ def test_overflowing_cells_are_flagged_not_raised():
     result = sweep(BINDINGS["value"], {"true_value": 10.0}, grid)
     assert result.flagged.tolist() == [False, False, True, True]
     assert result.notes[-1] == "market_value overflows the float range"
+
+
+def test_notes_format_each_distinct_value_once():
+    calls = []
+
+    def text(value):
+        calls.append(value)
+        return f"got {value!r}"
+
+    # 8,000 noted cells that quote 40 distinct values, as sweep_json's
+    # spending_split notes do
+    values = np.random.default_rng(3).permutation(np.repeat(np.linspace(0.0, 1.5, 40), 200))
+    texts = _Notes(8000).add(values > -1.0, text, values)
+    assert len(calls) == 40
+    assert texts.tolist() == [f"got {v!r}" for v in values.tolist()]
+    # values are told apart by their bits, and reach text as Python floats
+    calls.clear()
+    texts = _Notes(4).add(True, text, np.array([0.0, -0.0, -0.0, 0.0]))
+    assert texts.tolist() == ["got 0.0", "got -0.0", "got -0.0", "got 0.0"]
+    assert sorted(map(repr, calls)) == ["-0.0", "0.0"]
+    # one value for every cell is formatted once, as given
+    calls.clear()
+    notes = _Notes(3)
+    assert notes.add(np.array([True, False, True]), text, 2).tolist() == ["got 2", "", "got 2"]
+    assert calls == [2]
+    # closed cells keep their first note and are not formatted again
+    calls.clear()
+    assert notes.add(True, text, np.array([5.0, 6.0, 7.0])).tolist() == ["got 2", "got 6.0", "got 2"]
+    assert calls == [6.0]
+
+
+def test_power_is_python_pow_per_cell():
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-3.0, 3.0, 2000)
+    exponent = rng.integers(-60, 61, 2000).astype(float)
+    skip = rng.random(2000) < 0.1
+    powers, overflow = _power(base, exponent, skip)
+    expected = [1.0**e if s else b**e for b, e, s in zip(base.tolist(), exponent.tolist(), skip)]
+    assert np.array_equal(powers.view(np.uint64), np.array(expected).view(np.uint64))
+    assert not overflow.any()
+    # an OverflowError reruns the call cell by cell, which finds the cells
+    base[:3] = 1e300
+    exponent[:3] = 2.0
+    skip[:3] = [False, True, False]
+    powers, overflow = _power(base, exponent, skip)
+    assert np.flatnonzero(overflow).tolist() == [0, 2]
+    expected[:3] = [1.0, 1.0, 1.0]  # an overflowing cell holds 1.0, a skipped one 1.0**2
+    assert np.array_equal(powers.view(np.uint64), np.array(expected).view(np.uint64))
+    # one exponent for every cell
+    powers, overflow = _power(np.array([2.0, 1e300]), 50.0, np.zeros(2, dtype=bool))
+    assert powers[0] == 2.0**50 and overflow.tolist() == [False, True]
