@@ -24,11 +24,10 @@ _HOMES: dict[str, tuple[str, str]] = {
         "errors": "EcodynError InvariantViolation DomainError NonpositiveMargin "
         "SingularExponent NumericalFailure",
         "wage_profit": "CostStructure WageBound ProfitPoint UnboundedProfit gross_margin "
-        "total_cost net_profit profit_derivatives optimal_wage profit_curve",
+        "net_profit profit_derivatives optimal_wage profit_curve",
         "value_feedback": "FeedbackGains BalancedFeedback MarketValueSolution "
         "LimitProbeResult exponent_from_gains ode_rhs analytic_market_value "
-        "closed_form_slope singular_market_value singular_slope value_premium "
-        "market_gap gap_from_gains limit_probe",
+        "closed_form_slope singular_market_value market_gap gap_from_gains limit_probe",
         "budget_dynamics": "BudgetParams RecurrenceCoefficients StabilityReport "
         "DegenerateRange DivergentFixedPoint DeficiencyFactors DeficiencyAdjusted "
         "apply_deficiencies flow_balance investments annual_change coefficients iterate "

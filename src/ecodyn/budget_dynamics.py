@@ -43,10 +43,7 @@ def read_mode(section: Mapping[str, Any], key: str = "mode") -> str:
 
 def read_horizon(section: Mapping[str, Any], key: str = "horizon") -> int:
     """section[key] as a year count, 10 when absent."""
-    horizon = integer(section, key, 10)
-    if horizon < 0:
-        raise InvariantViolation(f"{key!r} must be >= 0, got {horizon}")
-    return horizon
+    return integer(section, key, 10, least=0)
 
 
 @dataclass(frozen=True)

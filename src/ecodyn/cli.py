@@ -396,9 +396,7 @@ def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
 
     exponent = _value_exponent(sec)
     xs = _grid_values(sec)
-    steps = integer(sec, "rk4_steps", 1000)
-    if steps < 1:
-        raise InvariantViolation(f"'rk4_steps' must be >= 1, got {steps}")
+    steps = integer(sec, "rk4_steps", 1000, least=1)
 
     if isinstance(exponent, vf.BalancedFeedback):
         _say(

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import MISSING, field, fields
 from functools import cache
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -86,40 +86,44 @@ def is_number(v: Any) -> bool:
     )
 
 
+def _lookup(
+    section: Mapping[str, Any], key: str, default: Any, accepts: Callable, kind: str, a_kind: str
+) -> Any:
+    """section[key] if accepts takes it, default when the key is absent; the
+    errors name the kind, as "numeric" and "a number"."""
+    if key not in section:
+        if default is MISSING:
+            raise InvariantViolation(f"missing {kind} key {key!r}")
+        return default
+    v = section[key]
+    if not accepts(v):
+        raise InvariantViolation(f"key {key!r} must be {a_kind}, got {v!r}")
+    return v
+
+
 def number(section: Mapping[str, Any], key: str, default: Any = MISSING) -> float:
     """section[key] as a float; booleans and other types are rejected."""
-    if key not in section:
-        if default is MISSING:
-            raise InvariantViolation(f"missing numeric key {key!r}")
-        return default
-    v = section[key]
-    if not is_number(v):
-        raise InvariantViolation(f"key {key!r} must be a number, got {v!r}")
-    return float(v)
+    v = _lookup(section, key, default, is_number, "numeric", "a number")
+    return float(v) if key in section else v
 
 
-def integer(section: Mapping[str, Any], key: str, default: Any = MISSING) -> int:
-    """section[key] as an int; booleans, floats and other types are rejected."""
-    if key not in section:
-        if default is MISSING:
-            raise InvariantViolation(f"missing integer key {key!r}")
-        return default
-    v = section[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InvariantViolation(f"key {key!r} must be an integer, got {v!r}")
+def integer(
+    section: Mapping[str, Any], key: str, default: Any = MISSING, least: float = -math.inf
+) -> int:
+    """section[key] as an int >= least; booleans, floats and other types are rejected."""
+    v = _lookup(section, key, default, _is_integer, "integer", "an integer")
+    if v < least:
+        raise InvariantViolation(f"{key!r} must be >= {least}, got {v}")
     return v
+
+
+def _is_integer(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def string(section: Mapping[str, Any], key: str, default: Any = MISSING) -> str:
     """section[key] as a str; other types are rejected."""
-    if key not in section:
-        if default is MISSING:
-            raise InvariantViolation(f"missing string key {key!r}")
-        return default
-    v = section[key]
-    if not isinstance(v, str):
-        raise InvariantViolation(f"key {key!r} must be a string, got {v!r}")
-    return v
+    return _lookup(section, key, default, lambda v: isinstance(v, str), "string", "a string")
 
 
 def factor_pairs(section: Mapping[str, Any], key: str) -> tuple[tuple[float, float], ...]:

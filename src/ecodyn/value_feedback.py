@@ -151,22 +151,6 @@ def singular_market_value(homog_coeff: float, x: float) -> float:
     return homog_coeff * x - x * math.log(x)
 
 
-def singular_slope(homog_coeff: float, x: float) -> float:
-    """Derivative of the exponent-1 closed form: K - ln(x) - 1."""
-    _check_true_value(x)
-    return homog_coeff - math.log(x) - 1.0
-
-
-def value_premium(gains: FeedbackGains, slope: float) -> float:
-    """Relative premium of market over true value implied by a slope.
-
-    Along any solution, market value equals (premium + 1) times true
-    value, with the premium equal to the net adjustment cost times the
-    local slope.
-    """
-    return (gains.inflation_gain - gains.deflation_gain) * slope
-
-
 def market_gap(exponent: float, true_value: float) -> float:
     """Market minus true value for the default-constant solution.
 

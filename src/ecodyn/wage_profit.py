@@ -107,13 +107,6 @@ def _profit_ratio(margin, wage, labor_weight):
     return margin / wage - labor_weight
 
 
-def total_cost(cs: CostStructure, wage: float) -> float:
-    """Total cost per production unit at the given total labor cost."""
-    if wage < 0:
-        raise DomainError(f"wage must be >= 0, got {wage}")
-    return cs.labor_weight * wage + sum(w * z for w, z in cs.other_factors)
-
-
 def net_profit(cs: CostStructure, wage: float) -> float:
     """Net profit ratio per sold unit: margin over wage, minus the labor weight."""
     _check_wage(wage)

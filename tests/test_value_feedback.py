@@ -17,8 +17,6 @@ from ecodyn.value_feedback import (
     market_gap,
     ode_rhs,
     singular_market_value,
-    singular_slope,
-    value_premium,
 )
 
 
@@ -91,7 +89,6 @@ def test_domain_checks():
         lambda: ode_rhs(-2.0, 0.0, 1.0),
         lambda: market_gap(-2.0, 0.0),
         lambda: singular_market_value(1.0, 0.0),
-        lambda: singular_slope(1.0, -2.0),
         lambda: limit_probe(0.0, [-10.0]),
     ):
         with pytest.raises(DomainError):
@@ -110,19 +107,14 @@ def test_slope_satisfies_equation():
 def test_singular_closed_form():
     # K*x - x*ln(x): at x = e with K = 1 the two terms cancel
     assert singular_market_value(1.0, math.e) == pytest.approx(0.0, abs=1e-15)
-    assert singular_slope(1.0, math.e) == pytest.approx(-1.0, abs=1e-15)
     # ln(1) = 0 leaves just the homogeneous term
     assert singular_market_value(2.0, 1.0) == 2.0
-    # the singular slope is exactly the equation's right-hand side
-    for x in (0.5, 1.0, 2.0, 4.0):
-        y = singular_market_value(0.7, x)
-        assert singular_slope(0.7, x) == pytest.approx(ode_rhs(1.0, x, y), abs=1e-12)
-
-
-def test_singular_slope_matches_numerical_derivative():
-    for x in (0.5, 1.0, 2.3, 5.0):
-        numeric = central_diff_first(lambda t: singular_market_value(2.0, t), x)
-        assert abs(numeric - singular_slope(2.0, x)) < 1e-9
+    # its numerical slope is the equation's right-hand side, for any constant
+    for coeff in (0.7, 2.0):
+        for x in (0.5, 1.0, 2.3, 5.0):
+            numeric = central_diff_first(lambda t: singular_market_value(coeff, t), x)
+            rhs = ode_rhs(1.0, x, singular_market_value(coeff, x))
+            assert numeric == pytest.approx(rhs, abs=1e-9)
 
 
 def test_market_gap_matches_solution():
@@ -175,31 +167,6 @@ def test_limit_probe_rejects_non_finite_gaps():
         limit_probe(0.5, [-2000.0])
     with pytest.raises(NumericalFailure, match="gap is not finite: nan"):
         limit_probe(2.0, [math.nan, -2.0])
-
-
-def test_premium_identity_known_case():
-    # half a unit of net cost at slope 2 prices the market at double value
-    assert value_premium(FeedbackGains(1.5, 1.0), 2.0) == 1.0
-    gains = FeedbackGains(0.4, 0.9)  # exponent -2
-    sol = MarketValueSolution.with_default_coeff(-2.0)
-    x = 2.0
-    premium = value_premium(gains, closed_form_slope(sol, x))
-    assert (premium + 1.0) * x == pytest.approx(analytic_market_value(sol, x), rel=1e-12)
-
-
-@given(
-    st.floats(-0.9, 2.0).filter(lambda d: abs(d) > 0.01 and abs(d - 1.0) > 0.01),
-    st.floats(0.1, 10.0),
-)
-def test_premium_identity(diff, x):
-    gains = FeedbackGains(1.0 + diff, 1.0)
-    b = exponent_from_gains(gains)
-    assert isinstance(b, float)
-    sol = MarketValueSolution.with_default_coeff(b)
-    premium = value_premium(gains, closed_form_slope(sol, x))
-    assert (premium + 1.0) * x == pytest.approx(
-        analytic_market_value(sol, x), rel=1e-9, abs=1e-9
-    )
 
 
 @given(

@@ -15,7 +15,6 @@ from ecodyn.wage_profit import (
     optimal_wage,
     profit_curve,
     profit_derivatives,
-    total_cost,
 )
 
 CS = CostStructure(10.0, 0.5, ((0.5, 4.0),))
@@ -32,12 +31,6 @@ def cost_structures(draw):
 
 def test_gross_margin():
     assert gross_margin(CS) == 8.0
-
-
-def test_total_cost():
-    assert total_cost(CS, 3.0) == 0.5 * 3.0 + 2.0
-    with pytest.raises(DomainError):
-        total_cost(CS, -1.0)
 
 
 def test_net_profit_value():
