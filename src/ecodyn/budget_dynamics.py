@@ -15,6 +15,7 @@ added onto the current pool, which shifts the pole by exactly one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, NamedTuple
 
@@ -41,9 +42,9 @@ def read_mode(section: Mapping[str, Any], key: str = "mode") -> str:
     return _check_mode(string(section, key, "direct"))
 
 
-def read_horizon(section: Mapping[str, Any], key: str = "horizon") -> int:
-    """section[key] as a year count, 10 when absent."""
-    return integer(section, key, 10, least=0)
+def read_horizon(section: Mapping[str, Any], key: str = "horizon", most: float = math.inf) -> int:
+    """section[key] as a year count up to most, 10 when absent."""
+    return integer(section, key, 10, least=0, most=most)
 
 
 @dataclass(frozen=True)

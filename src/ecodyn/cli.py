@@ -39,6 +39,14 @@ if TYPE_CHECKING:
     from . import value_feedback as vf
 
 
+# The work bounds of a budget run, which keeps every year's level, and of a
+# value curve's RK4 call, which takes rk4_steps steps on every grid point
+# past the first; each is read with its config (README, "Work bounds").
+MAX_HORIZON = 100_000
+MAX_RK4_STEPS = 100_000
+MAX_RK4_WORK = 100_000_000  # rk4_steps times those grid points
+
+
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -396,7 +404,12 @@ def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
 
     exponent = _value_exponent(sec)
     xs = _grid_values(sec)
-    steps = integer(sec, "rk4_steps", 1000, least=1)
+    steps = integer(sec, "rk4_steps", 1000, least=1, most=MAX_RK4_STEPS)
+    if steps * (len(xs) - 1) > MAX_RK4_WORK:
+        raise InvariantViolation(
+            f"'rk4_steps' times the grid points past the first must be <= {MAX_RK4_WORK}, "
+            f"got {steps} x {len(xs) - 1}"
+        )
 
     if isinstance(exponent, vf.BalancedFeedback):
         _say(
@@ -449,7 +462,7 @@ def _budget(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     check_keys(sec, "section 'budget'", bd.BudgetParams, "horizon", "mode", "deficiencies")
     config_mode = bd.read_mode(sec)  # checked even when --mode overrides it
     mode = args.mode or config_mode
-    horizon = bd.read_horizon(sec)
+    horizon = bd.read_horizon(sec, most=MAX_HORIZON)
 
     params = read(bd.BudgetParams, sec)
     balance_note = ""
@@ -656,7 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out",
             default=None,
-            help="write data rows to this file (default: stdout)",
+            help="write data rows to this file (default: stdout, or the config's output.path)",
         )
         p.add_argument(
             "--format",

@@ -15,6 +15,11 @@ import numpy as np
 
 from .errors import InvariantViolation
 
+# The most points an axis, and the most cells a grid, may have: 11 times
+# the 300 x 300 benchmark region, so no run allocates per-cell columns past
+# a few hundred MB (README, "Work bounds").
+MAX_CELLS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Axis:
@@ -30,6 +35,10 @@ class Axis:
             raise InvariantViolation("axis name must be non-empty")
         if self.points < 1:
             raise InvariantViolation(f"axis needs at least 1 point, got {self.points}")
+        if self.points > MAX_CELLS:
+            raise InvariantViolation(
+                f"axis {self.name!r} may have at most {MAX_CELLS} points, got {self.points}"
+            )
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise InvariantViolation("axis bounds must be finite")
         if not math.isfinite(self.upper - self.lower):
@@ -41,7 +50,10 @@ class Axis:
             )
 
     def grid(self) -> list[float]:
-        return np.linspace(self.lower, self.upper, self.points).tolist()
+        # near the float range the last point's step product overflows; it is
+        # set to upper, and no other point can overflow
+        with np.errstate(over="ignore"):
+            return np.linspace(self.lower, self.upper, self.points).tolist()
 
 
 @dataclass(frozen=True)
@@ -57,6 +69,8 @@ class ParamGrid:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise InvariantViolation(f"duplicate axis names: {names}")
+        if self.cells > MAX_CELLS:
+            raise InvariantViolation(f"a grid may have at most {MAX_CELLS} cells, got {self.cells}")
 
     @property
     def cells(self) -> int:

@@ -108,12 +108,19 @@ def number(section: Mapping[str, Any], key: str, default: Any = MISSING) -> floa
 
 
 def integer(
-    section: Mapping[str, Any], key: str, default: Any = MISSING, least: float = -math.inf
+    section: Mapping[str, Any],
+    key: str,
+    default: Any = MISSING,
+    least: float = -math.inf,
+    most: float = math.inf,
 ) -> int:
-    """section[key] as an int >= least; booleans, floats and other types are rejected."""
+    """section[key] as an int in [least, most]; booleans, floats and other
+    types are rejected."""
     v = _lookup(section, key, default, _is_integer, "integer", "an integer")
     if v < least:
         raise InvariantViolation(f"{key!r} must be >= {least}, got {v}")
+    if v > most:
+        raise InvariantViolation(f"{key!r} must be <= {most}, got {v}")
     return v
 
 

@@ -1,7 +1,9 @@
+import ast
 import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from functools import cached_property
@@ -575,6 +577,12 @@ BAD_CONFIGS = {
         1,
         "axis 'gov_spending' spans past the float range",
     ),
+    # no overflow warning from the grid's last step (found by fuzzing)
+    "wage-grid-up-to-the-largest-double": (
+        {"wage": {**WAGE, "grid": {"min": 1.0, "max": 1.7976931348623157e308, "points": 10}}},
+        2,
+        "first_derivative overflows the float range",
+    ),
     "wage-grid-span-past-float-range": (
         {"wage": {**WAGE, "grid": {"min": -1.7e308, "max": 1.7e308, "points": 3}}},
         1,
@@ -635,6 +643,44 @@ BAD_CONFIGS = {
         {"value": {**VALUE_CURVE, "rk4_steps": 0}},
         1,
         "'rk4_steps' must be >= 1, got 0",
+    ),
+    # work past a bound (README, "Work bounds") stops the run as its config is
+    # read, before any column of that size exists
+    "wage-grid-points-past-bound": (
+        {"wage": {**WAGE, "grid": {"min": 1.0, "max": 10.0, "points": 2**53 + 1}}},
+        1,
+        "axis 'grid' may have at most 1000000 points, got 9007199254740993",
+    ),
+    "region-cells-past-bound": (
+        {
+            "sweep": {
+                "model": "budget",
+                "kind": "stability_region",
+                "base": BUDGET,
+                "axes": [
+                    {"name": "tax_rate", "min": 0.0, "max": 1.0, "points": 600_000},
+                    {"name": "invest_share", "min": 0.0, "max": 2.0, "points": 600_000},
+                ],
+            }
+        },
+        1,
+        "a grid may have at most 1000000 cells, got 360000000000",
+    ),
+    "budget-horizon-past-bound": (
+        {"budget": {**BUDGET, "horizon": 10**9}},
+        1,
+        "'horizon' must be <= 100000, got 1000000000",
+    ),
+    "value-rk4-steps-past-bound": (
+        {"value": {**VALUE_CURVE, "rk4_steps": 2**53 + 1}},
+        1,
+        "'rk4_steps' must be <= 100000, got 9007199254740993",
+    ),
+    "value-rk4-work-past-bound": (
+        {"value": {**VALUE_CURVE, "grid": {**VALUE_CURVE["grid"], "points": 20_000}, "rk4_steps": 10_000}},
+        1,
+        "'rk4_steps' times the grid points past the first must be <= 100000000, "
+        "got 10000 x 19999",
     ),
     "sweep-model-unknown": (
         {"sweep": {"model": "labour", "base": BUDGET, "axes": TAX_AXIS}},
@@ -1332,6 +1378,43 @@ def test_help_and_version_exit_zero(capsys):
     assert main(["--version"]) == 0
     assert main(["budget", "--help"]) == 0
     capsys.readouterr()
+
+
+# Each object a data subcommand reads, with one key it does not read; the
+# output object is read by every one. Sweep base keys depend on the model.
+EXTRA_KEY_CONFIGS = {
+    "wage": ("wage", {"wage": {**WAGE, "zz": 1}}),
+    "wage-grid": ("wage", {"wage": {**WAGE, "grid": {**VALUE_CURVE["grid"], "zz": 1}}}),
+    "value": ("value", {"value": {**VALUE_CURVE, "zz": 1}}),
+    "value-grid": ("value", {"value": {**VALUE_CURVE, "grid": {**VALUE_CURVE["grid"], "zz": 1}}}),
+    "probe": ("value", {"value": {"probe": {"true_value": 2.0, "exponents": [-2.0], "zz": 1}}}),
+    "budget": ("budget", {"budget": {**BUDGET, "zz": 1}}),
+    "deficiencies": ("budget", {"budget": {**BUDGET, "deficiencies": {"zz": 1}}}),
+    "sweep": ("sweep", {"sweep": {"model": "budget", "base": BUDGET, "axes": TAX_AXIS, "zz": 1}}),
+    "sweep-axis": ("sweep", {"sweep": {"model": "budget", "axes": [{**TAX_AXIS[0], "zz": 1}]}}),
+    **{
+        f"{command}-output": (command, {command: {}, "output": {"zz": 1}})
+        for command in ("wage", "value", "budget", "sweep")
+    },
+}
+
+
+@pytest.mark.parametrize("name", EXTRA_KEY_CONFIGS)
+def test_help_names_every_key_the_subcommand_reads(tmp_path, capsys, name):
+    # the key list comes from the error an extra key raises, and each key must
+    # be in the subcommand's --help, its description or an option's help
+    command, cfg = EXTRA_KEY_CONFIGS[name]
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(cfg))
+    rc, _, err = run([command, "--config", str(path)], capsys)
+    owner, _, reads = err.strip().partition(" does not read ['zz']; it reads ")
+    assert rc == 1 and reads
+    keys = ast.literal_eval(reads)
+    if owner == "error: section 'output'":
+        keys = [f"output.{key}" for key in keys]
+    rc, text, _ = run([command, "--help"], capsys)
+    assert rc == 0
+    assert [key for key in keys if not re.search(rf"\b{re.escape(key)}\b", text)] == []
 
 
 def test_verify_list_golden(capsys):

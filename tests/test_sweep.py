@@ -39,6 +39,10 @@ def test_axis_grid_hits_endpoints():
     assert grid[-1] == 10.0
     assert len(grid) == 10
     assert Axis("wage", 2.0, 2.0, 1).grid() == [2.0]
+    # up to the largest double: linspace's last step overflows before it
+    # sets the last point to max, and the suite fails on the overflow warning
+    top = Axis("wage", 1.0, np.finfo(float).max, 10).grid()
+    assert top[-1] == np.finfo(float).max and all(map(math.isfinite, top))
 
 
 def test_axis_validation():
