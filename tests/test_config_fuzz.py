@@ -19,21 +19,8 @@ CONFIGS = sorted(DATA.rglob("*.json"))
 
 MISSPELT = "<misspell the leaf's key>"
 POOL = [
-    None,
-    False,
-    True,
-    "x",
-    [],
-    {},
-    [1.0],
-    0,
-    -0.0,
-    5e-324,
-    -1,
-    3,
-    10**30,
-    2**53 + 1,
-    sys.float_info.max,
+    *(None, False, True, "x", [], {}, [1.0]),  # not numbers
+    *(0, -0.0, 5e-324, -1, 3, 10**30, 2**53 + 1, sys.float_info.max),
     MISSPELT,
 ]
 
