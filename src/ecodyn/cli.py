@@ -516,6 +516,7 @@ def _budget(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     steps = list(range(len(levels)))
     # a trajectory that leaves the float range is largest in its last year
     finite("closed_form", partial(bd.closed_form, params, horizon, mode))
+    finite("iterated", lambda: levels[-1])
     closed = [bd.closed_form(params, step, mode) for step in steps]
     diffs = [abs(level - c) for level, c in zip(levels, closed)]
     max_dev = max(diffs, default=0.0)

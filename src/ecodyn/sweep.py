@@ -43,7 +43,7 @@ class SweepResult(NamedTuple):
     metadata: dict[str, Any]
 
 
-Evaluated = tuple[dict[str, np.ndarray], np.ndarray]  # see ModelBinding.evaluate_columns
+Evaluated = tuple[dict[str, Any], "_Notes"]  # see ModelBinding.evaluate_columns
 
 
 class ModelBinding(NamedTuple):
@@ -56,10 +56,9 @@ class ModelBinding(NamedTuple):
     value); outputs fixes the columns a sweep reports.
 
     evaluate_columns(params, cells), the one evaluator, gets every axis as
-    a numpy column in params and returns the output columns and one note
-    per cell, "" for a clean cell; noted cells may hold anything, and a
-    column may be missing if all are; the sweep fills both with NaN (False
-    in a bool column).
+    a numpy column in params and returns the outputs and its _Notes. An
+    output may be one value or, if every cell is noted, missing; the sweep
+    broadcasts it and puts NaN (False if bool) in noted cells, whatever they held.
     """
 
     model: str
@@ -79,9 +78,9 @@ class _Notes:
         self.texts = np.full(cells, "", dtype=object)
         self.open = np.ones(cells, dtype=bool)
 
-    def add(self, failed: Any, text: Any, value: Any = None) -> np.ndarray:
+    def add(self, failed: Any, text: Any, value: Any = None) -> _Notes:
         """Note text on the open cells in failed (a mask, or True for all)
-        and return the notes; with a value (a column, or one value for every
+        and return self; with a value (a column, or one value for every
         cell) text is a function of one cell's value.
 
         text runs once per distinct value, found by its bits: 0.0 == -0.0,
@@ -95,32 +94,33 @@ class _Notes:
             text = text(value)
         self.texts[cells] = text
         self.open[cells] = False
-        return self.texts
+        return self
 
-    def fields(self, cls: type, given: list[Any]) -> list[np.ndarray]:
+    def fields(self, cls: type, given: list[Any]) -> list[Any]:
         """Note the first bounded field of cls outside its bound, quoting
-        the values as given, and return the fields as float columns."""
-        columns = _float_columns(given, self.open.size)
+        the values as given, and return the fields as _float_columns does."""
+        columns = _float_columns(given)
         first = first_failing(cls, columns)
         for index, (name, bound) in enumerate(declared(cls)):
             self.add(first == index, partial(BOUND_NOTE.format, name, bound.text), given[index])
         return columns
 
-    def not_finite(self, name: str, column: np.ndarray) -> None:
-        self.add(~np.isfinite(column), partial(NOT_FINITE_NOTE.format, name), column)
+    def not_finite(self, name: str, column: Any) -> None:
+        """Note where column is not finite, quoting numpy floats as Python floats."""
+        self.add(~np.isfinite(column), lambda v: NOT_FINITE_NOTE.format(name, float(v)), column)
 
 
-def _float_columns(values: list[Any], cells: int) -> list[np.ndarray]:
-    """Parameter values as float columns; axes already are columns, and
-    check_binding has let only numbers within the float range through."""
-    return [v if isinstance(v, np.ndarray) else np.full(cells, float(v)) for v in values]
+def _float_columns(values: list[Any]) -> list[Any]:
+    """Axes as their columns and base values as numpy floats, which divide
+    by zero as columns do; check_binding let only numbers in float range through."""
+    return [v if isinstance(v, np.ndarray) else np.float64(v) for v in values]
 
 
 # Python's float pow as a ufunc: no Python-level loop, the same C pow per element
 _POW = np.frompyfunc(pow, 2, 1)
 
 
-def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _power(base: Any, exponent: Any, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """base**exponent per element with Python's float pow, and the mask of
     cells where pow raised OverflowError; skipped cells compute 1.0**exponent.
 
@@ -130,11 +130,11 @@ def _power(base: np.ndarray, exponent: Any, skip: np.ndarray) -> tuple[np.ndarra
     """
     bases = np.where(skip, 1.0, base)
     try:
-        return _POW(bases, exponent).astype(float), np.zeros(base.shape, dtype=bool)
+        return _POW(bases, exponent).astype(float), np.zeros(bases.shape, dtype=bool)
     except OverflowError:
         pass
-    exponents = np.broadcast_to(exponent, base.shape).tolist()
-    powers, overflow = np.ones(base.shape), np.zeros(base.shape, dtype=bool)
+    exponents = np.broadcast_to(exponent, bases.shape).tolist()
+    powers, overflow = np.ones(bases.shape), np.zeros(bases.shape, dtype=bool)
     for k, (b, e) in enumerate(zip(bases.tolist(), exponents)):
         try:
             powers[k] = b**e
@@ -156,14 +156,14 @@ def _wage_columns(params: dict[str, Any], cells: int) -> Evaluated:
         return {}, notes.add(True, str(exc))
     net_profit = wp._profit_ratio(margin, wage, cs.labor_weight)
     notes.not_finite("net_profit", net_profit)
-    return {"net_profit": net_profit}, notes.texts
+    return {"net_profit": net_profit}, notes
 
 
 def _value_columns(params: dict[str, Any], cells: int) -> Evaluated:
     from . import value_feedback as vf
 
     notes = _Notes(cells)
-    exponent, x = _float_columns([params["exponent"], params["true_value"]], cells)
+    exponent, x = _float_columns([params["exponent"], params["true_value"]])
     singular = exponent == 1.0
     if "homog_coeff" not in params:  # with_default_coeff checks the exponent first
         notes.add(singular, vf._SINGULAR_NOTE)
@@ -177,7 +177,7 @@ def _value_columns(params: dict[str, Any], cells: int) -> Evaluated:
     gap = market - x
     notes.not_finite("market_value", market)
     notes.not_finite("gap", gap)
-    return {"market_value": market, "gap": gap}, notes.texts
+    return {"market_value": market, "gap": gap}, notes
 
 
 BUDGET_PARAMS = tuple(field.name for field in fields(bd.BudgetParams))
@@ -194,7 +194,7 @@ def _budget_columns(params: dict[str, Any], cells: int, final_pool: bool = True)
     notes.not_finite("pole", pole)
     columns = {"pole": pole, "stable": bd._is_stable(pole)}
     if not final_pool:
-        return columns, notes.texts
+        return columns, notes
     horizon = bd.read_horizon(params)
     try:
         # closed_form overflows in every cell on a horizon past the float range
@@ -207,7 +207,7 @@ def _budget_columns(params: dict[str, Any], cells: int, final_pool: bool = True)
     level = bd._geometric_level(power, pole, w0, flow)
     final = np.where(pole == 1.0, bd._unit_pole_level(w0, years, flow), level)
     notes.not_finite("final_pool", final)
-    return {**columns, "final_pool": final}, notes.texts
+    return {**columns, "final_pool": final}, notes
 
 
 BINDINGS: dict[str, ModelBinding] = {
@@ -284,13 +284,12 @@ def sweep(binding: ModelBinding, base: dict[str, Any], grid: ParamGrid) -> Sweep
     Per-cell rejections become flagged cells, never exceptions.
     """
     check_binding(binding, base, grid)
-    cells = grid.cells
     with np.errstate(all="ignore"):
-        columns, notes = binding.evaluate_columns({**base, **grid.columns()}, cells)
-    flagged = notes != ""
+        columns, notes = binding.evaluate_columns({**base, **grid.columns()}, grid.cells)
+    flagged = ~notes.open
     values = {}
     for name in binding.outputs:
-        column = columns[name] if name in columns else np.full(cells, math.nan)
+        column = np.asarray(columns.get(name, math.nan))
         values[name] = np.where(flagged, False if column.dtype == bool else math.nan, column)
     metadata = {
         "model": binding.model,
@@ -299,10 +298,10 @@ def sweep(binding: ModelBinding, base: dict[str, Any], grid: ParamGrid) -> Sweep
             {"name": a.name, "min": a.lower, "max": a.upper, "points": a.points}
             for a in grid.axes
         ],
-        "cells": cells,
+        "cells": grid.cells,
         "flagged": int(flagged.sum()),
     }
-    return SweepResult(values, flagged, notes.tolist(), metadata)
+    return SweepResult(values, flagged, notes.texts.tolist(), metadata)
 
 
 def stability_region(base: dict[str, Any], grid: ParamGrid) -> SweepResult:

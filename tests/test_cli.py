@@ -161,7 +161,7 @@ def test_sweep_json_structure(capsys):
     assert rows[0]["stable"] is True
 
 
-def test_mode_flag_overrides_config(capsys):
+def test_mode_flag_overrides_config(tmp_path, capsys):
     rc, out, err = run(
         ["budget", "--config", str(DATA / "budget_direct.json"), "--mode", "incremental"],
         capsys,
@@ -172,6 +172,13 @@ def test_mode_flag_overrides_config(capsys):
     first_year = out.splitlines()[2].split(",")
     assert first_year[0] == "1"
     assert abs(float(first_year[1]) - 1229.0) < 1e-9
+    # more investment empties the incremental stable tax interval
+    path = tmp_path / "empty_range.json"
+    path.write_text(json.dumps({"budget": {**BUDGET, "invest_share": 0.2}}))
+    rc, _, err = run(["budget", "--config", str(path), "--mode", "incremental"], capsys)
+    assert rc == 0
+    assert "tax leverage: -0.08999999999999997" in err
+    assert "stable tax range: empty in this mode" in err
 
 
 def test_mode_flag_overrides_only_a_valid_config_mode(tmp_path, capsys):
@@ -467,6 +474,22 @@ BAD_CONFIGS = {
         {"budget": {**BUDGET, "invest_share": 5, "horizon": 2000}},
         2,
         "closed_form overflows the float range",
+    ),
+    # the closed form stays below the largest double where the iteration's
+    # rounding carries the last year past it
+    "budget-iterated-overflow": (
+        {
+            "budget": {
+                **dict.fromkeys(("tax_rate", "private_fraction", "foreign_multiplier"), 0),
+                "spending_split": 1,
+                "invest_share": 1.5,
+                "gov_spending": 0,
+                "initial_wages": 7.460712872350176e157,
+                "horizon": 854,
+            }
+        },
+        2,
+        "iterated is not finite: inf",
     ),
     "value-power-overflow": (
         {"value": {"exponent": 400, "grid": {"min": 1, "max": 10, "points": 5}}},

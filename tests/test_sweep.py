@@ -6,10 +6,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from ecodyn import budget_dynamics as bd
 from ecodyn.budget_dynamics import BudgetParams, closed_form, stability_report
 from ecodyn.errors import EcodynError, InvariantViolation, NumericalFailure, finite
+from ecodyn.schema import read
 from ecodyn.sweep import (
     BINDINGS,
+    BUDGET_PARAMS,
     REGION,
     Axis,
     ParamGrid,
@@ -426,6 +429,10 @@ def test_columnar_budget_sweep_matches_scalar_model():
     assert assert_matches_scalar("budget", ints, grid) == {"clean", "pole 1"}
     final_pool = sweep(BINDINGS["budget"], {**ints, "horizon": 5}, grid).outputs["final_pool"]
     assert repr(final_pool.tolist()) == "[-100.0, -162.5, 500.0]"
+    # a pole of exactly 1 from base values alone: they divide by zero as
+    # columns do, where Python floats would raise ZeroDivisionError
+    wages = ParamGrid((Axis("initial_wages", 1.0, 3.0, 3),))
+    assert assert_matches_scalar("budget", {**BUDGET_BASE, "tax_rate": 1.0}, wages) == {"pole 1"}
     # an out-of-range integer base value is quoted as given
     two = {**ints, "spending_split": 2}
     assert assert_matches_scalar("budget", two, grid) == {"rejected"}
@@ -492,6 +499,9 @@ def test_columnar_value_sweep_matches_scalar_model():
     grid = ParamGrid((Axis("true_value", -1.0, 2.0, 4),))
     assert assert_matches_scalar("value", {"exponent": math.nan}, grid) == {"rejected"}
     assert _notes("value", {"exponent": math.nan}, grid) == {"exponent must be finite, got nan"}
+    # a base exponent of 1 is noted in every cell, not divided by zero
+    for base in ({"exponent": 1.0}, {"exponent": 1, "homog_coeff": 2.0}):
+        assert assert_matches_scalar("value", base, grid) == {"rejected"}
 
 
 def test_columnar_wage_sweep_matches_scalar_model():
@@ -548,6 +558,45 @@ def test_sweep_builds_no_model_object_per_cell(monkeypatch):
     assert built[-1] == "BudgetParams"
 
 
+def test_base_values_reach_the_model_as_single_floats(monkeypatch):
+    # numpy broadcasts a base value over the axes' columns, so the sweep
+    # copies none into a per-cell column
+    calls = []
+    coefficients = bd._coefficients
+
+    def recording(*operands):
+        calls.append(operands)
+        return coefficients(*operands)
+
+    monkeypatch.setattr(bd, "_coefficients", recording)
+    grid = ParamGrid((Axis("tax_rate", 0.0, 1.0, 4), Axis("invest_share", 0.0, 2.0, 5)))
+    bases = ((BINDINGS["budget"], {**BUDGET_BASE, "horizon": 3}), (REGION, BUDGET_BASE))
+    for binding, base in bases:
+        calls.clear()
+        result = sweep(binding, base, grid)
+        (operands,) = calls
+        for name, operand in zip(BUDGET_PARAMS, operands):
+            if name in ("tax_rate", "invest_share"):
+                assert isinstance(operand, np.ndarray) and operand.shape == (20,)
+            else:  # a numpy float is a Python float
+                assert isinstance(operand, float) and not isinstance(operand, np.ndarray)
+        assert all(column.shape == (20,) for column in result.outputs.values())
+
+
+def test_integer_base_values_keep_the_signed_zero_of_floats():
+    # -gov_spending * spending_split is -0.0 on floats, as closed_form reads
+    # the config, but the int 0 on these integers
+    base = dict.fromkeys(("tax_rate", "spending_split", "invest_share", "foreign_multiplier"), 0)
+    base.update(private_fraction=0.9999999999999999, gov_spending=100, horizon=21)
+    grid = ParamGrid((Axis("initial_wages", 1.0, 5.0, 5),))
+    final_pool = sweep(BINDINGS["budget"], base, grid).outputs["final_pool"].tolist()
+    expected = [
+        closed_form(read(BudgetParams, {**base, "initial_wages": w}), 21)
+        for w in grid.columns()["initial_wages"].tolist()
+    ]
+    assert repr(final_pool) == repr(expected) == repr([-0.0] * 5)
+
+
 def test_overflowing_cells_are_flagged_not_raised():
     base = {**BUDGET_BASE, "mode": "incremental", "horizon": 1000}
     grid = ParamGrid((Axis("invest_share", 0.0, 50.0, 11),))
@@ -562,6 +611,10 @@ def test_overflowing_cells_are_flagged_not_raised():
     grid = ParamGrid((Axis("invest_share", 0.0, 1e10, 3),))
     notes = sweep(BINDINGS["budget"], base, grid).notes
     assert notes == ["", "pole is not finite: inf", "pole is not finite: inf"]
+    # a pole that no axis moves is quoted the same way
+    base = {**BUDGET_BASE, "invest_share": 1e308, "foreign_multiplier": 1e308}
+    grid = ParamGrid((Axis("gov_spending", 0.0, 200.0, 3),))
+    assert _notes("budget", base, grid) == {"pole is not finite: inf"}
     # the value model's power term overflows the same way
     grid = ParamGrid((Axis("exponent", 100.0, 500.0, 4),))
     result = sweep(BINDINGS["value"], {"true_value": 10.0}, grid)
@@ -579,22 +632,24 @@ def test_notes_format_each_distinct_value_once():
     # 8,000 noted cells that quote 40 distinct values, as sweep_json's
     # spending_split notes do
     values = np.random.default_rng(3).permutation(np.repeat(np.linspace(0.0, 1.5, 40), 200))
-    texts = _Notes(8000).add(values > -1.0, text, values)
+    texts = _Notes(8000).add(values > -1.0, text, values).texts
     assert len(calls) == 40
     assert texts.tolist() == [f"got {v!r}" for v in values.tolist()]
     # values are told apart by their bits, and reach text as Python floats
     calls.clear()
-    texts = _Notes(4).add(True, text, np.array([0.0, -0.0, -0.0, 0.0]))
+    texts = _Notes(4).add(True, text, np.array([0.0, -0.0, -0.0, 0.0])).texts
     assert texts.tolist() == ["got 0.0", "got -0.0", "got -0.0", "got 0.0"]
     assert sorted(map(repr, calls)) == ["-0.0", "0.0"]
     # one value for every cell is formatted once, as given
     calls.clear()
     notes = _Notes(3)
-    assert notes.add(np.array([True, False, True]), text, 2).tolist() == ["got 2", "", "got 2"]
+    notes.add(np.array([True, False, True]), text, 2)
+    assert notes.texts.tolist() == ["got 2", "", "got 2"]
     assert calls == [2]
     # closed cells keep their first note and are not formatted again
     calls.clear()
-    assert notes.add(True, text, np.array([5.0, 6.0, 7.0])).tolist() == ["got 2", "got 6.0", "got 2"]
+    notes.add(True, text, np.array([5.0, 6.0, 7.0]))
+    assert notes.texts.tolist() == ["got 2", "got 6.0", "got 2"]
     assert calls == [6.0]
 
 
