@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, EcodynError, InvariantViolation, NumericalFailure, finite
 from .grid import Axis, ParamGrid
-from .schema import MODES, check_keys, integer, is_number, number, read, string
+from .schema import MODES, integer, is_number, number, read, read_section, string
 
 # Each subcommand imports the models it runs, so a run loads no other
 # model; they are read as module attributes at call time.
@@ -83,16 +83,15 @@ def _section(cfg: dict[str, Any], name: str, default: Any = MISSING) -> dict[str
     return section
 
 
-def _axis(name: str, spec: dict[str, Any]) -> Axis:
-    return Axis(name, number(spec, "min"), number(spec, "max"), integer(spec, "points"))
+# the readers of a grid object and, after its name, of a sweep axis
+_AXIS = {"min": number, "max": number, "points": integer}
 
 
-def _grid_values(section: dict[str, Any]) -> list[float]:
-    spec = section.get("grid")
+def _grid(section: dict[str, Any], key: str) -> list[float]:
+    spec = section.get(key)
     if not isinstance(spec, dict):
         raise InvariantViolation("section needs a 'grid' object with min/max/points")
-    check_keys(spec, "section 'grid'", "min", "max", "points")
-    return _axis("grid", spec).grid()
+    return Axis(key, *read_section(spec, "section 'grid'", _AXIS)).grid()
 
 
 def _csv_quoted(text: str) -> str:
@@ -310,10 +309,12 @@ def _emit(fmt: str, out: str | None, table: _Table) -> None:
 def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
     from . import wage_profit as wp
 
-    check_keys(sec, "section 'wage'", wp.CostStructure, wp.WageBound, "grid")
-    cs = wp.cost_structure(sec)
-    wages = _grid_values(sec) if "grid" in sec else []
-    bound = read(wp.WageBound, sec) if "floor" in sec else None
+    readers = {
+        wp.CostStructure: wp.cost_structure,
+        wp.WageBound: lambda s: read(wp.WageBound, s) if "floor" in s else None,
+        "grid": lambda s, k: _grid(s, k) if k in s else [],
+    }
+    cs, bound, wages = read_section(sec, "section 'wage'", readers)
     points = wp.profit_curve(cs, wages)  # checks the grid before the report
 
     _say(f"gross margin: {wp.gross_margin(cs)!r}")
@@ -352,40 +353,22 @@ def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
     return None
 
 
-def _value_exponent(sec: dict[str, Any]) -> float | vf.BalancedFeedback:
-    from . import value_feedback as vf
-
-    has_gains = "inflation_gain" in sec or "deflation_gain" in sec
-    if has_gains and "exponent" in sec:
-        raise InvariantViolation(
-            "give either 'exponent' or the gain pair, not both"
-        )
-    if has_gains:
-        return vf.exponent_from_gains(read(vf.FeedbackGains, sec))
-    return number(sec, "exponent")
-
-
 def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     from . import oracles
     from . import value_feedback as vf
 
-    reads = (vf.FeedbackGains, vf.MarketValueSolution, "grid", "rk4_steps", "probe")
-    check_keys(sec, "section 'value'", *reads)
-
     if "probe" in sec:
+        # a probe reads only its own object, never the curve's keys
         if "grid" in sec:
             raise InvariantViolation("give either 'probe' or 'grid', not both")
-        check_keys(sec, "section 'value'", "probe")
-        probe_sec = sec["probe"]
-        if not isinstance(probe_sec, dict):
+        [spec] = read_section(sec, "section 'value'", {"probe": dict.get})
+        if not isinstance(spec, dict):
             raise InvariantViolation("'probe' must be an object")
-        check_keys(probe_sec, "section 'probe'", "true_value", "exponents")
-        exponents = probe_sec.get("exponents")
+        readers = {"true_value": number, "exponents": dict.get}
+        true_value, exponents = read_section(spec, "section 'probe'", readers)
         if not isinstance(exponents, list) or not exponents or not all(map(is_number, exponents)):
             raise InvariantViolation("'probe' needs a non-empty 'exponents' list of numbers")
-        result = vf.limit_probe(
-            number(probe_sec, "true_value"), [float(b) for b in exponents]
-        )
+        result = vf.limit_probe(true_value, [float(b) for b in exponents])
         _say(
             "probe regime: "
             + ("divergent (true value below 1)" if result.divergent else "convergent")
@@ -402,9 +385,20 @@ def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
         }
         return _Table(columns, metadata)
 
-    exponent = _value_exponent(sec)
-    xs = _grid_values(sec)
-    steps = integer(sec, "rk4_steps", 1000, least=1, most=MAX_RK4_STEPS)
+    has_gains = "inflation_gain" in sec or "deflation_gain" in sec
+    readers = {
+        vf.FeedbackGains: partial(read, vf.FeedbackGains) if has_gains else lambda s: None,
+        "exponent": partial(number, default=None if has_gains else MISSING),
+        "homog_coeff": partial(number, default=None),
+        "grid": _grid,
+        "rk4_steps": partial(integer, default=1000, least=1, most=MAX_RK4_STEPS),
+        "probe": dict.get,  # absent: a probe is read alone, above
+    }
+    gains, exponent, coeff, xs, steps, _ = read_section(sec, "section 'value'", readers)
+    if gains is not None:
+        if exponent is not None:
+            raise InvariantViolation("give either 'exponent' or the gain pair, not both")
+        exponent = vf.exponent_from_gains(gains)
     if steps * (len(xs) - 1) > MAX_RK4_WORK:
         raise InvariantViolation(
             f"'rk4_steps' times the grid points past the first must be <= {MAX_RK4_WORK}, "
@@ -421,10 +415,10 @@ def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
         meta_exponent: Any = None
     else:
         if exponent == 1:
-            curve = partial(vf.singular_market_value, number(sec, "homog_coeff", 1.0))
+            curve = partial(vf.singular_market_value, 1.0 if coeff is None else coeff)
             _say("exponent 1: using the logarithmic closed form")
         else:
-            coeff = number(sec, "homog_coeff", vf._default_coeff(exponent))
+            coeff = vf._default_coeff(exponent) if coeff is None else coeff
             curve = partial(vf.analytic_market_value, vf.MarketValueSolution(exponent, coeff))
 
         market = [finite("market_value", partial(curve, x)) for x in xs]
@@ -459,17 +453,18 @@ def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
 def _budget(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     from . import budget_dynamics as bd
 
-    check_keys(sec, "section 'budget'", bd.BudgetParams, "horizon", "mode", "deficiencies")
-    config_mode = bd.read_mode(sec)  # checked even when --mode overrides it
+    readers = {
+        bd.BudgetParams: partial(read, bd.BudgetParams),
+        "horizon": partial(bd.read_horizon, most=MAX_HORIZON),
+        "mode": bd.read_mode,  # checked even when --mode overrides it
+        "deficiencies": dict.get,  # an object, read by its own table below
+    }
+    params, horizon, config_mode, deficiencies = read_section(sec, "section 'budget'", readers)
     mode = args.mode or config_mode
-    horizon = bd.read_horizon(sec, most=MAX_HORIZON)
-
-    params = read(bd.BudgetParams, sec)
     balance_note = ""
-    if sec.get("deficiencies") is not None:
-        deficiencies = _section(sec, "deficiencies")
-        check_keys(deficiencies, "section 'deficiencies'", bd.DeficiencyFactors)
-        factors = read(bd.DeficiencyFactors, deficiencies)
+    if deficiencies is not None:
+        readers = {bd.DeficiencyFactors: partial(read, bd.DeficiencyFactors)}
+        [factors] = read_section(_section(sec, "deficiencies"), "section 'deficiencies'", readers)
         adjusted = bd.apply_deficiencies(params, factors)
         params = adjusted.as_params(params)
         eroded = adjusted.scale_balance(bd.flow_balance(params))
@@ -536,38 +531,35 @@ def _budget(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
 def _sweep(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     from . import sweep as sw
 
-    check_keys(sec, "section 'sweep'", "model", "kind", "mode", "base", "axes")
-
-    model = string(sec, "model")
-    if model not in sw.BINDINGS:
-        raise InvariantViolation(
-            f"'model' must be one of {sorted(sw.BINDINGS)}, got {model!r}"
-        )
-    base = _section(sec, "base", {})
+    bad_model = f"'model' must be one of {sorted(sw.BINDINGS)}, got {{!r}}"
+    bad_kind = "'kind' must be sweep or stability_region, got {!r}"
+    readers = {
+        "model": partial(string, choices=sw.BINDINGS, text=bad_model),
+        "kind": partial(string, default="sweep", choices=("sweep", "stability_region"), text=bad_kind),
+        "mode": dict.get,  # read with the base
+        "base": partial(_section, default={}),
+        "axes": dict.get,  # a list of objects, each read by its own table below
+    }
+    model, kind, mode, base, specs = read_section(sec, "section 'sweep'", readers)
+    if not isinstance(specs, list) or not specs:
+        raise InvariantViolation("'axes' must be a non-empty list")
+    axes = []
+    for spec in specs:
+        if not isinstance(spec, dict):
+            raise InvariantViolation("each axis needs name/min/max/points")
+        axes.append(Axis(*read_section(spec, "a sweep axis", {"name": string, **_AXIS})))
+    grid = ParamGrid(tuple(axes))
     if "mode" in sec:
         if "mode" in base:
             raise InvariantViolation("give the budget mode in 'sweep' or in 'base', not both")
-        base = {**base, "mode": sec["mode"]}
-    axes_spec = sec.get("axes")
-    if not isinstance(axes_spec, list) or not axes_spec:
-        raise InvariantViolation("'axes' must be a non-empty list")
-    axes = []
-    for spec in axes_spec:
-        if not isinstance(spec, dict):
-            raise InvariantViolation("each axis needs name/min/max/points")
-        check_keys(spec, "a sweep axis", "name", "min", "max", "points")
-        axes.append(_axis(string(spec, "name"), spec))
-    grid = ParamGrid(tuple(axes))
-    kind = string(sec, "kind", "sweep")
+        base = {**base, "mode": mode}
 
     if kind == "stability_region":
         if model != "budget":
             raise InvariantViolation("a stability region requires the budget model")
         result = sw.stability_region(base, grid)
-    elif kind == "sweep":
-        result = sw.sweep(sw.BINDINGS[model], base, grid)
     else:
-        raise InvariantViolation(f"'kind' must be sweep or stability_region, got {kind!r}")
+        result = sw.sweep(sw.BINDINGS[model], base, grid)
 
     flagged = result.metadata["flagged"]
     if flagged == grid.cells:
@@ -590,12 +582,12 @@ def _run_data(args: argparse.Namespace) -> int:
     format and to the path that the flags or the output section give."""
     cfg = _load_config(args.config)
     sec = _section(cfg, args.command)
-    out_cfg = _section(cfg, "output", {})
-    check_keys(out_cfg, "section 'output'", "format", "path")
-    args.format = args.format or string(out_cfg, "format", "csv")
-    if args.format not in ("csv", "json"):
-        raise InvariantViolation(f"output format must be csv or json, got {args.format!r}")
-    args.out = args.out or string(out_cfg, "path", None)
+    bad_format = "output format must be csv or json, got {!r}"
+    readers = {  # a flag's value is taken, and the config's left unread
+        "format": lambda s, k: args.format or string(s, k, "csv", ("csv", "json"), bad_format),
+        "path": lambda s, k: args.out or string(s, k, None),
+    }
+    args.format, args.out = read_section(_section(cfg, "output", {}), "section 'output'", readers)
     table = args.table(sec, args)
     if table is not None:
         _emit(args.format, args.out, table)

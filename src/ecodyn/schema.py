@@ -5,7 +5,8 @@ A field declared with :func:`bounded` carries a :class:`Bound`: a closed
 interval of finite numbers. The same declaration drives the dataclass's
 ``__post_init__`` check (:func:`check_fields`) and the sweep engine's
 column masks and notes, and :func:`read` builds any of these dataclasses
-from a config mapping with the field defaults.
+from a config mapping with the field defaults. :func:`read_section` reads
+a whole config object from one table of readers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import MISSING, field, fields
-from functools import cache
+from functools import cache, partial
 from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -128,9 +129,15 @@ def _is_integer(v: Any) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def string(section: Mapping[str, Any], key: str, default: Any = MISSING) -> str:
-    """section[key] as a str; other types are rejected."""
-    return _lookup(section, key, default, lambda v: isinstance(v, str), "string", "a string")
+def string(
+    section: Mapping[str, Any], key: str, default: Any = MISSING, choices: Any = None, text: str = ""
+) -> str:
+    """section[key] as a str, one of choices if given (text, formatted with
+    another, says why it is not read); other types are rejected."""
+    v = _lookup(section, key, default, lambda v: isinstance(v, str), "string", "a string")
+    if choices is not None and v not in choices:
+        raise InvariantViolation(text.format(v))
+    return v
 
 
 def factor_pairs(section: Mapping[str, Any], key: str) -> tuple[tuple[float, float], ...]:
@@ -144,23 +151,19 @@ def factor_pairs(section: Mapping[str, Any], key: str) -> tuple[tuple[float, flo
     return tuple(map(tuple, pairs))
 
 
-def check_keys(section: Mapping[str, Any], owner: str, *reads: str | type) -> None:
-    """Reject the keys of section that nothing reads, as a misspelt key,
-    rather than run without them; reads names the keys that are read, a
-    dataclass standing for its fields."""
-    known = list(
-        dict.fromkeys(
-            name
-            for r in reads
-            for name in ([f.name for f in fields(r)] if isinstance(r, type) else [r])
-        )
-    )
+def read_section(section: Mapping[str, Any], owner: str, readers: Mapping[Any, Callable]) -> list:
+    """The values of a config object, after any key that no reader reads is
+    rejected as misspelt. readers maps each key, in order, to reader(section,
+    key), and a dataclass, standing for its fields, to reader(section); each
+    reader checks and converts its value, and gives an absent key's default."""
+    known = [n for k in readers for n in ([f.name for f in fields(k)] if isinstance(k, type) else [k])]
     unread = [k for k in section if k not in known]
     if unread:
         raise InvariantViolation(f"{owner} does not read {unread}; it reads {known}")
+    return [r(section) if isinstance(k, type) else r(section, k) for k, r in readers.items()]
 
 
-def read(cls: type, section: Mapping[str, Any], **given: Any) -> Any:
-    """cls from a config mapping; fields not given are read with number()."""
-    values = {f.name: number(section, f.name, f.default) for f in fields(cls) if f.name not in given}
-    return cls(**values, **given)
+def read(cls: type, section: Mapping[str, Any], **readers: Callable) -> Any:
+    """cls from a config mapping, each field in order with its reader in readers or number()."""
+    default = {f.name: partial(number, default=f.default) for f in fields(cls)}
+    return cls(**{name: readers.get(name, r)(section, name) for name, r in default.items()})

@@ -25,7 +25,7 @@ import numpy as np
 from . import budget_dynamics as bd
 from .errors import NOT_FINITE_NOTE, OVERFLOW_NOTE, EcodynError, InvariantViolation, finite
 from .grid import Axis, ParamGrid  # Axis is re-exported with ParamGrid
-from .schema import BOUND_NOTE, check_keys, declared, factor_pairs, first_failing, number
+from .schema import BOUND_NOTE, declared, factor_pairs, first_failing, number, read_section
 
 
 class SweepResult(NamedTuple):
@@ -53,7 +53,7 @@ class ModelBinding(NamedTuple):
     lists the numeric keys that must be present in the base parameters or
     as an axis; optional maps the other keys the model reads to the config
     reader that checks them (their type, and a budget mode's or horizon's
-    value); outputs fixes the columns a sweep reports.
+    value) and passes them when absent; outputs fixes the columns a sweep reports.
 
     evaluate_columns(params, cells), the one evaluator, gets every axis as
     a numpy column in params and returns the outputs and its _Notes. An
@@ -223,7 +223,7 @@ BINDINGS: dict[str, ModelBinding] = {
         model="value",
         allowed_axes=("true_value", "exponent"),
         required=("exponent", "true_value"),
-        optional={"homog_coeff": number},
+        optional={"homog_coeff": partial(number, default=None)},
         outputs=("market_value", "gap"),
         evaluate_columns=_value_columns,
     ),
@@ -254,9 +254,9 @@ def check_binding(
     """Reject bad sweep setups before any cell is evaluated.
 
     Axes must be ones the model can sweep, base may hold only keys the
-    model reads, every required parameter must be in base or on an axis,
-    and base values must be what the single-run subcommands read: the
-    type, and a budget mode's or horizon's value. Values are not
+    model reads, base values must be what the single-run subcommands
+    read (the type, and a budget mode's or horizon's value), and every
+    required parameter must be in base or on an axis. Values are not
     converted, and other values out of range are left for the cells.
     """
     for axis in grid.axes:
@@ -265,17 +265,14 @@ def check_binding(
                 f"model {binding.model!r} cannot sweep {axis.name!r}; "
                 f"allowed axes: {binding.allowed_axes}"
             )
-    readers = {**dict.fromkeys(binding.required, number), **binding.optional}
-    check_keys(base, f"model {binding.model!r}", *readers)
+    required = dict.fromkeys(binding.required, partial(number, default=None))
+    read_section(base, f"model {binding.model!r}", {**required, **binding.optional})
     axis_names = {a.name for a in grid.axes}
     missing = [k for k in binding.required if k not in base and k not in axis_names]
     if missing:
         raise InvariantViolation(
             f"model {binding.model!r} is missing parameters {missing}"
         )
-    for key, read_value in readers.items():
-        if key in base:
-            read_value(base, key)
 
 
 def sweep(binding: ModelBinding, base: dict[str, Any], grid: ParamGrid) -> SweepResult:

@@ -110,15 +110,21 @@ def _ode_slope(exponent, x, y):
 
 
 def exponent_from_gains(gains: FeedbackGains) -> float | BalancedFeedback:
-    """Reciprocal of the net adjustment cost; the equation's exponent.
+    """Reciprocal of the net adjustment cost; the equation's exponent,
+    rounded once from the exact difference, so never to 1 by accident.
 
     Equal costs make the exponent undefined, returned as an explicit
     :class:`BalancedFeedback` marker rather than an infinity.
     """
-    diff = gains.inflation_gain - gains.deflation_gain
+    from fractions import Fraction  # not at module top: no sweep or audit run needs it
+
+    diff = Fraction(gains.inflation_gain) - Fraction(gains.deflation_gain)
     if diff == 0:
         return BalancedFeedback()
-    return 1.0 / diff
+    try:
+        return float(1 / diff)
+    except OverflowError:  # past the float range
+        return math.copysign(math.inf, diff)
 
 
 def ode_rhs(exponent: float, x: float, y: float) -> float:

@@ -51,7 +51,7 @@ class CostStructure:
 
 def cost_structure(params: Mapping[str, Any]) -> CostStructure:
     """The cost structure from a parameter or config mapping."""
-    return read(CostStructure, params, other_factors=factor_pairs(params, "other_factors"))
+    return read(CostStructure, params, other_factors=factor_pairs)
 
 
 @dataclass(frozen=True)

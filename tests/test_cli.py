@@ -222,6 +222,24 @@ def test_value_balanced_gains(tmp_path, capsys):
     assert out.splitlines()[1:] == ["1.0,1.0,0.0", "1.5,1.5,0.0", "2.0,2.0,0.0"]
 
 
+def test_gains_just_off_balance_by_one_give_the_exponent_below_1(tmp_path, capsys):
+    # the gains differ by 1 - 1.2e-16, whose reciprocal rounds to the float
+    # below 1; rounding the difference first would give the singular 1.0
+    cfg = {
+        "value": {
+            "inflation_gain": 1.0000000000000002,
+            "deflation_gain": 1.2e-16,
+            "grid": {"min": 1.0, "max": 2.0, "points": 3},
+        }
+    }
+    path = tmp_path / "gains.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, err = run(["value", "--config", str(path), "--format", "json"], capsys)
+    assert rc == 0
+    assert "logarithmic" not in err
+    assert json.loads(out)["metadata"]["exponent"] == 0.9999999999999999
+
+
 def test_value_singular_exponent(tmp_path, capsys):
     cfg = {"value": {"exponent": 1.0, "grid": {"min": 1.0, "max": 3.0, "points": 3}}}
     path = tmp_path / "singular.json"
@@ -807,6 +825,7 @@ BAD_CONFIGS = {
             ("gains", {"inflation_gain": 0.4, "deflation_gain": 0.9}),
             ("homog-coeff", {"homog_coeff": 3.0}),
             ("rk4-steps", {"rk4_steps": 5}),
+            ("unknown-key", {"zz": 1}),
         )
     },
     "budget-unread-keys": (
@@ -842,6 +861,67 @@ BAD_CONFIGS = {
         {"sweep": {"model": "budget", "base": BUDGET, "axes": [{**TAX_AXIS[0], "step": 0.5}]}},
         1,
         "a sweep axis does not read ['step']; it reads ['name', 'min', 'max', 'points']",
+    ),
+    # an object's keys are read in the order its unread-key error lists
+    # them, so of two faulty keys the first in that list is reported
+    "wage-two-faults-price-before-factors": (
+        {"wage": {**WAGE, "max_market_price": "x", "other_factors": 3}},
+        1,
+        "key 'max_market_price' must be a number, got 'x'",
+    ),
+    "wage-two-faults-floor-before-grid": (
+        {"wage": {**WAGE, "floor": -1, "grid": {"min": 1.0, "max": 2.0}}},
+        1,
+        "floor must be finite and >= 0, got -1.0",
+    ),
+    "budget-two-faults-params-before-mode": (
+        {"budget": {**BUDGET, "tax_rate": "x", "mode": 5}},
+        1,
+        "key 'tax_rate' must be a number, got 'x'",
+    ),
+    "budget-two-faults-horizon-before-mode": (
+        {"budget": {**BUDGET, "horizon": "x", "mode": 5}},
+        1,
+        "key 'horizon' must be an integer, got 'x'",
+    ),
+    "value-two-faults-homog-coeff-before-rk4-steps": (
+        {"value": {**VALUE_CURVE, "homog_coeff": "x", "rk4_steps": 0}},
+        1,
+        "key 'homog_coeff' must be a number, got 'x'",
+    ),
+    "probe-two-faults-true-value-before-exponents": (
+        {"value": {"probe": {"true_value": "x", "exponents": []}}},
+        1,
+        "key 'true_value' must be a number, got 'x'",
+    ),
+    "sweep-two-faults-kind-before-base": (
+        {"sweep": {"model": "budget", "kind": "grid", "base": 3, "axes": TAX_AXIS}},
+        1,
+        "'kind' must be sweep or stability_region, got 'grid'",
+    ),
+    "sweep-two-faults-kind-before-axes": (
+        {"sweep": {"model": "budget", "kind": 5, "base": BUDGET, "axes": []}},
+        1,
+        "key 'kind' must be a string, got 5",
+    ),
+    # a base is checked against the axes after its keys are read
+    "sweep-two-faults-base-value-before-missing-parameters": (
+        {"sweep": {"model": "budget", "base": {"spending_split": "x"}, "axes": TAX_AXIS}},
+        1,
+        "key 'spending_split' must be a number, got 'x'",
+    ),
+    # every key present is read, also one the run would not use
+    "value-balanced-gains-homog-coeff-string": (
+        {
+            "value": {
+                "inflation_gain": 0.5,
+                "deflation_gain": 0.5,
+                "homog_coeff": "x",
+                "grid": VALUE_CURVE["grid"],
+            }
+        },
+        1,
+        "key 'homog_coeff' must be a number, got 'x'",
     ),
 }
 
@@ -1171,25 +1251,27 @@ def test_importing_the_cli_leaves_orjson_unloaded():
     assert proc.returncode == 0 and proc.stdout == "[]\n[]\n"
 
 
-def test_a_value_run_loads_only_its_models():
+# each run's config, its golden and the models it loads; a reader table built
+# at module level would name a model class and load every model
+LOADING_RUNS = {
+    "value": ("value_curve.json", "value_curve.csv", {"value_feedback", "oracles"}),
+    "budget-sweep": ("sweep_budget.json", "sweep_budget.csv", {"budget_dynamics", "sweep"}),
+    "budget": ("budget_direct.json", "budget_direct.csv", {"budget_dynamics"}),
+    "wage": ("wage_curve.json", "wage_curve.csv", {"wage_profit"}),
+}
+
+
+@pytest.mark.parametrize("name", LOADING_RUNS)
+def test_a_run_loads_only_its_models(name):
+    config, golden, models = LOADING_RUNS[name]
     # -v writes "import 'name' # loader" to stderr for every module loaded
-    argv = ["-v", "-m", "ecodyn", "value", "--config", str(DATA / "value_curve.json")]
+    argv = ["-v", "-m", "ecodyn", config.partition("_")[0], "--config", str(DATA / config)]
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "value_curve.csv").read_text()
+    assert proc.stdout == (GOLDEN / golden).read_text()
     loaded = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
-    assert {"ecodyn.value_feedback", "ecodyn.oracles"} <= loaded
-    assert not loaded & {f"ecodyn.{m}" for m in ("budget_dynamics", "sweep", "wage_profit", "audit")}
-
-
-def test_a_budget_sweep_loads_only_the_budget_model():
-    argv = ["-v", "-m", "ecodyn", "sweep", "--config", str(DATA / "sweep_budget.json")]
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "sweep_budget.csv").read_text()
-    loaded = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
-    assert {"ecodyn.budget_dynamics", "ecodyn.sweep"} <= loaded
-    assert not loaded & {f"ecodyn.{m}" for m in ("value_feedback", "wage_profit", "oracles", "audit")}
+    assert {f"ecodyn.{m}" for m in models} <= loaded
+    assert not loaded & {f"ecodyn.{m}" for m in MODELS if m not in models}
 
 
 RECORD_ROUTE_SWEEPS = [

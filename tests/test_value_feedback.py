@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from exact import correctly_rounded
 from hypothesis import given, strategies as st
 
 from ecodyn.errors import DomainError, InvariantViolation, NumericalFailure, SingularExponent
@@ -23,6 +25,22 @@ from ecodyn.value_feedback import (
 def test_exponent_from_gains():
     assert exponent_from_gains(FeedbackGains(0.9, 0.4)) == 2.0
     assert exponent_from_gains(FeedbackGains(0.4, 0.9)) == -2.0
+
+
+@given(st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 1e-15)), st.integers(-4, 4))
+def test_exponent_from_gains_is_the_correctly_rounded_reciprocal(deflation, ulps):
+    # a gain difference within a few ulps of 1, where rounding the difference
+    # before its reciprocal can land on the singular exponent 1.0
+    inflation = deflation + 1.0
+    for _ in range(abs(ulps)):
+        inflation = math.nextafter(inflation, math.copysign(math.inf, ulps))
+    exact = 1 / (Fraction(inflation) - Fraction(deflation))
+    assert correctly_rounded(exponent_from_gains(FeedbackGains(inflation, deflation)), exact)
+
+
+def test_a_gain_difference_whose_reciprocal_overflows_gives_an_infinity():
+    assert exponent_from_gains(FeedbackGains(5e-324, 0.0)) == math.inf
+    assert exponent_from_gains(FeedbackGains(0.0, 5e-324)) == -math.inf
 
 
 def test_balanced_gains_have_no_exponent():
