@@ -399,6 +399,11 @@ def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
         if exponent is not None:
             raise InvariantViolation("give either 'exponent' or the gain pair, not both")
         exponent = vf.exponent_from_gains(gains)
+        if isinstance(exponent, float) and math.isinf(exponent):
+            raise InvariantViolation(
+                f"the exponent 1/(inflation_gain - deflation_gain) = "
+                f"1/({gains.inflation_gain!r} - {gains.deflation_gain!r}) is past the float range"
+            )
     if steps * (len(xs) - 1) > MAX_RK4_WORK:
         raise InvariantViolation(
             f"'rk4_steps' times the grid points past the first must be <= {MAX_RK4_WORK}, "
@@ -583,11 +588,13 @@ def _run_data(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     sec = _section(cfg, args.command)
     bad_format = "output format must be csv or json, got {!r}"
-    readers = {  # a flag's value is taken, and the config's left unread
-        "format": lambda s, k: args.format or string(s, k, "csv", ("csv", "json"), bad_format),
-        "path": lambda s, k: args.out or string(s, k, None),
+    readers = {
+        "format": partial(string, default="csv", choices=("csv", "json"), text=bad_format),
+        "path": partial(string, default=None),
     }
-    args.format, args.out = read_section(_section(cfg, "output", {}), "section 'output'", readers)
+    fmt, path = read_section(_section(cfg, "output", {}), "section 'output'", readers)
+    # the config is checked even where a flag overrides it
+    args.format, args.out = args.format or fmt, args.out or path
     table = args.table(sec, args)
     if table is not None:
         _emit(args.format, args.out, table)

@@ -14,6 +14,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import goldens
 import numpy as np
 
 from ecodyn import budget_dynamics as bd
@@ -22,7 +23,6 @@ from ecodyn import value_feedback as vf
 from ecodyn import wage_profit as wp
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = Path(__file__).parent / "golden"
 
 DERIVATIVE_REL_TOL = 1e-6
 SLOPE_RESIDUAL_TOL = 1e-12
@@ -216,23 +216,25 @@ def run_cli(*args):
     )
 
 
+def cli_runner(argv):
+    proc = run_cli(*argv)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_criterion_8_cli_contract():
     with criterion(
         "criterion 8: golden-file output for every subcommand and exit codes "
         "0, 1, 2, 3 all exercised"
     ):
-        golden_runs = [
-            (("wage", "--config", str(DATA / "wage_curve.json")), "wage_curve.csv"),
-            (("value", "--config", str(DATA / "value_curve.json")), "value_curve.csv"),
-            (("value", "--config", str(DATA / "value_probe.json")), "value_probe.csv"),
-            (("budget", "--config", str(DATA / "budget_direct.json")), "budget_direct.csv"),
-            (("sweep", "--config", str(DATA / "sweep_region.json")), "sweep_region.csv"),
-            (("verify", "--list"), "verify_list.txt"),
-        ]
-        for args, golden in golden_runs:
-            proc = run_cli(*args)
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout == (GOLDEN / golden).read_text(), golden
+        for entry in [
+            "wage_curve.csv",
+            "value_curve.csv",
+            "value_probe.csv",
+            "budget_direct.csv",
+            "sweep_region.csv",
+            "verify_list.txt",
+        ]:
+            assert goldens.check(entry, cli_runner) == []
 
         assert run_cli("wage", "--config", "/no/such/file.json").returncode == 1
         assert run_cli("wage", "--config", str(DATA / "wage_margin_fail.json")).returncode == 2

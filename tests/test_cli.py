@@ -9,6 +9,7 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
+import goldens
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,6 @@ from ecodyn.errors import NumericalFailure
 from ecodyn.sweep import BINDINGS, Axis, ParamGrid, sweep
 
 DATA = Path(__file__).parent / "data"
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(args, capsys):
@@ -28,101 +28,24 @@ def run(args, capsys):
     return rc, captured.out, captured.err
 
 
-def test_wage_golden(capsys):
-    rc, out, err = run(["wage", "--config", str(DATA / "wage_curve.json")], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "wage_curve.csv").read_text()
-    assert "gross margin: 8.0" in err
-    assert "optimal wage: 1.0, net profit 7.5" in err
+@pytest.mark.parametrize("entry", goldens.ENTRIES)
+def test_golden(capsys, entry):
+    assert goldens.check(entry, lambda argv: run(argv, capsys)) == []
+
+
+def test_the_large_sweep_flags_20_cells(capsys):
+    # no stderr golden holds this run: stderr.txt reads tests/data/*.json
+    # only, and its config sits in tests/data/extra
+    rc, _, err = run(list(goldens.ENTRIES["sweep_budget_large.csv"]), capsys)
+    assert rc == 0 and "swept 30 cells" in err and "20 flagged" in err
 
 
 def test_wage_out_file(tmp_path, capsys):
     target = tmp_path / "curve.csv"
-    rc, out, _ = run(
-        ["wage", "--config", str(DATA / "wage_curve.json"), "--out", str(target)],
-        capsys,
-    )
+    rc, out, _ = run([*goldens.ENTRIES["wage_curve.csv"], "--out", str(target)], capsys)
     assert rc == 0
     assert out == ""
-    assert target.read_bytes() == (GOLDEN / "wage_curve.csv").read_bytes()
-
-
-def test_value_golden(capsys):
-    rc, out, _ = run(["value", "--config", str(DATA / "value_curve.json")], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "value_curve.csv").read_text()
-
-
-def test_value_probe_golden(capsys):
-    rc, out, err = run(["value", "--config", str(DATA / "value_probe.json")], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "value_probe.csv").read_text()
-    assert "convergent" in err
-
-
-def test_budget_golden(capsys):
-    rc, out, err = run(["budget", "--config", str(DATA / "budget_direct.json")], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "budget_direct.csv").read_text()
-    assert "pole: 0.27899999999999997 (stable)" in err
-    assert "fixed point: -69.34812760055478" in err
-    assert "stable tax range: (0.0, 1.0)" in err
-
-
-def test_budget_deficiencies_golden(capsys):
-    rc, out, err = run(["budget", "--config", str(DATA / "budget_deficiencies.json")], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "budget_deficiencies.csv").read_text()
-    assert (
-        "year 0: flow balance 112.47499999999997, investments 83.21999999999998, "
-        "annual change 195.69499999999994 (currency erosion scales the year-0 flow "
-        "balance to 101.22749999999998; the trajectory below uses the adjusted "
-        "parameters without erosion)"
-    ) in err.splitlines()
-
-
-def test_sweep_region_golden(capsys):
-    rc, out, err = run(["sweep", "--config", str(DATA / "sweep_region.json")], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "sweep_region.csv").read_text()
-    assert "swept 9 cells" in err
-
-
-def test_sweep_budget_golden(capsys):
-    # flagged rows leave empty CSV cells and drop their output keys in JSON,
-    # and the last tax_rate coordinate is -0.0
-    argv = ["sweep", "--config", str(DATA / "sweep_budget.json")]
-    rc, out, err = run(argv, capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "sweep_budget.csv").read_text()
-    assert "swept 30 cells" in err and "27 flagged" in err
-    rc, out, _ = run([*argv, "--format", "json"], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "sweep_budget.json").read_text()
-
-
-def test_sweep_budget_large_golden(capsys):
-    # final_pool cells from 1e159 to 2e262 and 10 cells whose pole**400
-    # overflows, next to 10 bound notes on two fields; the config sits in
-    # data/extra, out of the tests/data/*.json runs that stderr.txt pins
-    argv = ["sweep", "--config", str(DATA / "extra" / "sweep_budget_large.json")]
-    rc, out, err = run(argv, capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "sweep_budget_large.csv").read_text()
-    assert "swept 30 cells" in err and "20 flagged" in err
-    rc, out, _ = run([*argv, "--format", "json"], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "sweep_budget_large.json").read_text()
-
-
-def test_stderr_golden(capsys):
-    # each tests/data config's exit code and exact stderr, one block a run
-    blocks = []
-    for path in sorted(DATA.glob("*.json")):
-        command = path.name.partition("_")[0]
-        rc, _, err = run([command, "--config", str(path)], capsys)
-        blocks.append(f"== {command} {path.name}: exit {rc}\n{err}")
-    assert "".join(blocks) == (GOLDEN / "stderr.txt").read_text()
+    assert target.read_bytes() == (goldens.GOLDEN / "wage_curve.csv").read_bytes()
 
 
 def test_budget_json_structure(capsys):
@@ -189,6 +112,23 @@ def test_mode_flag_overrides_only_a_valid_config_mode(tmp_path, capsys):
     assert err == "error: key 'mode' must be a string, got 5\n"
 
 
+@pytest.mark.parametrize(
+    "output, line",
+    [
+        ({"format": 5, "path": []}, "error: key 'format' must be a string, got 5\n"),
+        ({"path": []}, "error: key 'path' must be a string, got []\n"),
+    ],
+    ids=["format", "path"],
+)
+def test_output_flags_override_only_a_valid_output_section(tmp_path, capsys, output, line):
+    path = tmp_path / "output.json"
+    path.write_text(json.dumps({"budget": BUDGET, "output": output}))
+    target = tmp_path / "rows.json"
+    argv = ["budget", "--config", str(path), "--format", "json", "--out", str(target)]
+    assert run(argv, capsys) == (1, "", line)
+    assert not target.exists()
+
+
 def test_value_gains_route(tmp_path, capsys):
     cfg = {
         "value": {
@@ -203,7 +143,7 @@ def test_value_gains_route(tmp_path, capsys):
     rc, out, _ = run(["value", "--config", str(path)], capsys)
     assert rc == 0
     # the gain pair implies exponent -2, so the curve matches the golden
-    assert out == (GOLDEN / "value_curve.csv").read_text()
+    assert goldens.cell_diff(goldens.GOLDEN / "value_curve.csv", out) == []
 
 
 def test_value_balanced_gains(tmp_path, capsys):
@@ -669,6 +609,20 @@ BAD_CONFIGS = {
         {"value": {**VALUE_CURVE, "inflation_gain": 0.4, "deflation_gain": 0.9}},
         1,
         "give either 'exponent' or the gain pair, not both",
+    ),
+    # the gains' difference is the smallest subnormal, whose reciprocal
+    # overflows; the config holds no 'exponent' key to blame
+    "value-gains-exponent-past-float-range": (
+        {
+            "value": {
+                "inflation_gain": 5e-324,
+                "deflation_gain": 0.0,
+                "grid": VALUE_CURVE["grid"],
+            }
+        },
+        1,
+        "the exponent 1/(inflation_gain - deflation_gain) = 1/(5e-324 - 0.0) "
+        "is past the float range",
     ),
     "value-probe-and-grid": (
         {"value": {**VALUE_CURVE, "probe": {"true_value": 2.0, "exponents": [-2.0]}}},
@@ -1251,24 +1205,24 @@ def test_importing_the_cli_leaves_orjson_unloaded():
     assert proc.returncode == 0 and proc.stdout == "[]\n[]\n"
 
 
-# each run's config, its golden and the models it loads; a reader table built
+# each run's golden entry and the models it loads; a reader table built
 # at module level would name a model class and load every model
 LOADING_RUNS = {
-    "value": ("value_curve.json", "value_curve.csv", {"value_feedback", "oracles"}),
-    "budget-sweep": ("sweep_budget.json", "sweep_budget.csv", {"budget_dynamics", "sweep"}),
-    "budget": ("budget_direct.json", "budget_direct.csv", {"budget_dynamics"}),
-    "wage": ("wage_curve.json", "wage_curve.csv", {"wage_profit"}),
+    "value": ("value_curve.csv", {"value_feedback", "oracles"}),
+    "budget-sweep": ("sweep_budget.csv", {"budget_dynamics", "sweep"}),
+    "budget": ("budget_direct.csv", {"budget_dynamics"}),
+    "wage": ("wage_curve.csv", {"wage_profit"}),
 }
 
 
 @pytest.mark.parametrize("name", LOADING_RUNS)
 def test_a_run_loads_only_its_models(name):
-    config, golden, models = LOADING_RUNS[name]
+    entry, models = LOADING_RUNS[name]
     # -v writes "import 'name' # loader" to stderr for every module loaded
-    argv = ["-v", "-m", "ecodyn", config.partition("_")[0], "--config", str(DATA / config)]
+    argv = ["-v", "-m", "ecodyn", *goldens.ENTRIES[entry]]
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / golden).read_text()
+    assert goldens.cell_diff(goldens.GOLDEN / entry, proc.stdout) == []
     loaded = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
     assert {f"ecodyn.{m}" for m in models} <= loaded
     assert not loaded & {f"ecodyn.{m}" for m in MODELS if m not in models}
@@ -1378,12 +1332,9 @@ def test_a_sweep_and_its_writers_build_the_grid_index_once(tmp_path, capsys, mon
     indices = cached_property(counted)
     indices.__set_name__(ParamGrid, "indices")
     monkeypatch.setattr(ParamGrid, "indices", indices)
-    for fmt in ("csv", "json"):
+    for entry in ("sweep_budget.csv", "sweep_budget.json"):
         built.clear()
-        rc, out, _ = run(
-            ["sweep", "--config", str(DATA / "sweep_budget.json"), "--format", fmt], capsys
-        )
-        assert rc == 0 and out == (GOLDEN / f"sweep_budget.{fmt}").read_text()
+        assert goldens.check(entry, lambda argv: run(argv, capsys)) == []
         assert len(built) == 1
 
 
@@ -1522,18 +1473,6 @@ def test_help_names_every_key_the_subcommand_reads(tmp_path, capsys, name):
     assert [key for key in keys if not re.search(rf"\b{re.escape(key)}\b", text)] == []
 
 
-def test_verify_list_golden(capsys):
-    rc, out, _ = run(["verify", "--list"], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "verify_list.txt").read_text()
-
-
-def test_verify_report_golden(capsys):
-    rc, out, _ = run(["verify"], capsys)
-    assert rc == 0
-    assert out == (GOLDEN / "verify_report.txt").read_text()
-
-
 def test_verify_failure_exit_code(capsys):
     rc, out, _ = run(["verify", "--tolerance", "rk4_agreement=1e-15"], capsys)
     assert rc == 3
@@ -1561,27 +1500,6 @@ def test_verify_config_rejects_negative_tolerance(tmp_path, capsys):
     rc, out, err = run(["verify", "--config", str(path)], capsys)
     assert (rc, out) == (1, "")
     assert err == "error: tolerance 'rk4_agreement' must be finite and >= 0, got -1.0\n"
-
-
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ecodyn", "verify", "--list"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "verify_list.txt").read_text()
-
-
-def test_console_script_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ecodyn", "budget", "--config", str(DATA / "budget_direct.json")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "budget_direct.csv").read_text()
-    assert "pole:" in proc.stderr
 
 
 def test_a_reader_that_closes_stdout_early_ends_the_run_quietly(tmp_path):
