@@ -24,7 +24,7 @@ from . import oracles
 from . import value_feedback as vf
 from . import wage_profit as wp
 from .errors import InvariantViolation
-from .schema import NONNEG, first_failing
+from .schema import NONNEG, declared
 
 DEFAULT_SEED = 1729
 
@@ -103,9 +103,10 @@ def _random_budgets(rng: random.Random, n: int) -> np.ndarray:
     draws = np.fromiter(iter(rng.random, None), float, count=7 * n).reshape(n, 7)
     rows = _DRAW_LOW + _DRAW_SPAN * draws
     columns = rows.T
-    rejected = first_failing(bd.BudgetParams, columns) < len(columns)
-    if rejected.any():
-        row = rows[rejected.argmax()].tolist()
+    bounds = [bound for _, bound in declared(bd.BudgetParams)]
+    admitted = np.all([bound.admits(column) for bound, column in zip(bounds, columns)], axis=0)
+    if not admitted.all():
+        row = rows[admitted.argmin()].tolist()
         raise InvariantViolation(f"random draw outside the BudgetParams bounds: {row}")
     return columns
 

@@ -17,8 +17,6 @@ from dataclasses import MISSING, field, fields
 from functools import cache, partial
 from typing import Any, Callable, Mapping, NamedTuple
 
-import numpy as np
-
 from .errors import InvariantViolation
 
 # The budget recurrence's conventions (see ecodyn.budget_dynamics), kept
@@ -37,8 +35,12 @@ class Bound(NamedTuple):
     upper: float
     text: str
 
+    def admits(self, value: Any) -> Any:
+        """Whether value, a float or a numpy column, lies in the interval."""
+        return (value >= self.lower) & (value <= self.upper)
+
     def check(self, name: str, value: float) -> None:
-        if not self.lower <= value <= self.upper:
+        if not self.admits(value):
             raise InvariantViolation(BOUND_NOTE.format(name, self.text, value))
 
 
@@ -61,17 +63,6 @@ def bounded(bound: Bound, default: Any = MISSING) -> Any:
 def declared(cls: type) -> tuple[tuple[str, Bound], ...]:
     """(name, bound) of each bounded field of a dataclass."""
     return tuple((f.name, f.metadata["bound"]) for f in fields(cls) if "bound" in f.metadata)
-
-
-def first_failing(cls: type, columns: Any) -> Any:
-    """Index of each row's first bounded field outside its bound, which
-    check_fields raises on, or len(declared(cls)); columns holds one numpy
-    column per bounded field, in field order."""
-    inside, first = True, np.uint8(0)  # first counts the leading fields inside
-    for (_, bound), column in zip(declared(cls), columns):
-        inside = inside & (column >= bound.lower) & (column <= bound.upper)
-        first = first + inside
-    return first
 
 
 def check_fields(obj: Any) -> None:

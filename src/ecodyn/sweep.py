@@ -25,7 +25,7 @@ import numpy as np
 from . import budget_dynamics as bd
 from .errors import NOT_FINITE_NOTE, OVERFLOW_NOTE, EcodynError, InvariantViolation, finite
 from .grid import Axis, ParamGrid  # Axis is re-exported with ParamGrid
-from .schema import BOUND_NOTE, declared, factor_pairs, first_failing, number, read_section
+from .schema import BOUND_NOTE, declared, factor_pairs, number, read_section
 
 
 class SweepResult(NamedTuple):
@@ -100,9 +100,8 @@ class _Notes:
         """Note the first bounded field of cls outside its bound, quoting
         the values as given, and return the fields as _float_columns does."""
         columns = _float_columns(given)
-        first = first_failing(cls, columns)
-        for index, (name, bound) in enumerate(declared(cls)):
-            self.add(first == index, partial(BOUND_NOTE.format, name, bound.text), given[index])
+        for (name, bound), column, value in zip(declared(cls), columns, given):
+            self.add(~bound.admits(column), partial(BOUND_NOTE.format, name, bound.text), value)
         return columns
 
     def not_finite(self, name: str, column: Any) -> None:
@@ -116,31 +115,31 @@ def _float_columns(values: list[Any]) -> list[Any]:
     return [v if isinstance(v, np.ndarray) else np.float64(v) for v in values]
 
 
-# Python's float pow as a ufunc: no Python-level loop, the same C pow per element
-_POW = np.frompyfunc(pow, 2, 1)
+def _pow(base: float, exponent: float) -> float:
+    """Python's float pow, with inf where it raises OverflowError."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+# _pow as a ufunc: no Python-level loop, the same C pow per element
+_POW = np.frompyfunc(_pow, 2, 1)
 
 
 def _power(base: Any, exponent: Any, skip: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """base**exponent per element with Python's float pow, and the mask of
-    cells where pow raised OverflowError; skipped cells compute 1.0**exponent.
+    cells where pow overflowed, which hold inf; skipped cells compute
+    1.0**exponent.
 
     numpy's vectorised power can differ from Python's in the last ulp,
-    which would break bit equality with the scalar model functions. An
-    OverflowError aborts the ufunc, so only then does a loop find the cells.
+    which would break bit equality with the scalar model functions. Every
+    operand is finite (skipped cells get base 1.0, and axes, base values
+    and a budget's years are finite), and pow of finite floats is inf only
+    where it overflows, so inf marks exactly the cells that overflowed.
     """
-    bases = np.where(skip, 1.0, base)
-    try:
-        return _POW(bases, exponent).astype(float), np.zeros(bases.shape, dtype=bool)
-    except OverflowError:
-        pass
-    exponents = np.broadcast_to(exponent, bases.shape).tolist()
-    powers, overflow = np.ones(bases.shape), np.zeros(bases.shape, dtype=bool)
-    for k, (b, e) in enumerate(zip(bases.tolist(), exponents)):
-        try:
-            powers[k] = b**e
-        except OverflowError:
-            overflow[k] = True
-    return powers, overflow
+    powers = _POW(np.where(skip, 1.0, base), exponent).astype(float)
+    return powers, np.isinf(powers)
 
 
 def _wage_columns(params: dict[str, Any], cells: int) -> Evaluated:

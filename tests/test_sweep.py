@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -9,7 +10,7 @@ import pytest
 from ecodyn import budget_dynamics as bd
 from ecodyn.budget_dynamics import BudgetParams, closed_form, stability_report
 from ecodyn.errors import EcodynError, InvariantViolation, NumericalFailure, finite
-from ecodyn.schema import read
+from ecodyn.schema import FINITE, NONNEG, POSITIVE, UNIT, read
 from ecodyn.sweep import (
     BINDINGS,
     BUDGET_PARAMS,
@@ -658,18 +659,40 @@ def test_power_is_python_pow_per_cell():
     base = rng.uniform(-3.0, 3.0, 2000)
     exponent = rng.integers(-60, 61, 2000).astype(float)
     skip = rng.random(2000) < 0.1
-    powers, overflow = _power(base, exponent, skip)
+    with np.errstate(over="ignore"):  # as sweep() calls it
+        powers, overflow = _power(base, exponent, skip)
     expected = [1.0**e if s else b**e for b, e, s in zip(base.tolist(), exponent.tolist(), skip)]
     assert np.array_equal(powers.view(np.uint64), np.array(expected).view(np.uint64))
     assert not overflow.any()
-    # an OverflowError reruns the call cell by cell, which finds the cells
+    # the one pass marks the cells where pow raises OverflowError, which hold inf
     base[:3] = 1e300
     exponent[:3] = 2.0
     skip[:3] = [False, True, False]
-    powers, overflow = _power(base, exponent, skip)
+    with np.errstate(over="ignore"):
+        powers, overflow = _power(base, exponent, skip)
     assert np.flatnonzero(overflow).tolist() == [0, 2]
-    expected[:3] = [1.0, 1.0, 1.0]  # an overflowing cell holds 1.0, a skipped one 1.0**2
+    expected[:3] = [math.inf, 1.0, math.inf]  # a skipped cell holds 1.0**2
     assert np.array_equal(powers.view(np.uint64), np.array(expected).view(np.uint64))
+    # every cell overflows
+    with np.errstate(over="ignore"):
+        powers, overflow = _power(np.array([1e300, -1e300, 10.0]), 400.0, np.zeros(3, dtype=bool))
+    assert overflow.all() and powers.tolist() == [math.inf] * 3
     # one exponent for every cell
-    powers, overflow = _power(np.array([2.0, 1e300]), 50.0, np.zeros(2, dtype=bool))
-    assert powers[0] == 2.0**50 and overflow.tolist() == [False, True]
+    with np.errstate(over="ignore"):
+        powers, overflow = _power(np.array([2.0, 1e300, 0.5]), 50.0, np.zeros(3, dtype=bool))
+    assert powers.tolist() == [2.0**50, math.inf, 0.5**50] and overflow.tolist() == [False, True, False]
+
+
+_EDGES = [0.0, 1.0, sys.float_info.max, math.nextafter(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("bound", [UNIT, NONNEG, POSITIVE, FINITE], ids=lambda b: b.text)
+def test_bound_admits_is_the_closed_interval(bound):
+    ends = [bound.lower, bound.upper, *_EDGES]
+    near = [math.nextafter(v, d) for v in ends for d in (-math.inf, math.inf)]
+    values = [math.nan, math.inf, -math.inf, 0.0, -0.0, *ends, *near]
+    values += [-v for v in values]
+    expected = [bound.lower <= v <= bound.upper for v in values]
+    assert [bound.admits(v) for v in values] == expected
+    column = bound.admits(np.array(values))
+    assert column.dtype == bool and column.tolist() == expected
