@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import MISSING, dataclass
 from functools import partial
@@ -288,7 +289,8 @@ def _emit(fmt: str, out: str | None, table: _Table) -> None:
 
     Rows marked in holes leave the columns named in sparse empty in CSV
     and out of the JSON row. Rows are written a block at a time, so a write
-    that fails on a cell removes out rather than leave part of the table.
+    that fails, on a cell or in the file system, removes out rather than
+    leave part of the table; a device or a symlink given as out stays.
     """
     write = _write_csv if fmt == "csv" else _write_json
     if out is None:
@@ -296,14 +298,15 @@ def _emit(fmt: str, out: str | None, table: _Table) -> None:
         return
     try:
         fh = open(out, "w", encoding="utf-8", newline="")
+        try:
+            with fh:
+                write(table, fh)
+        except (EcodynError, OSError):
+            if stat.S_ISREG(os.lstat(out).st_mode):
+                os.remove(out)
+            raise
     except OSError as exc:
         raise InvariantViolation(f"cannot write output {out!r}: {exc}") from exc
-    try:
-        with fh:
-            write(table, fh)
-    except EcodynError:
-        os.remove(out)
-        raise
 
 
 def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
@@ -789,10 +792,13 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early, as `| head` does; with stdout on
-        # devnull the interpreter's own flush at exit stays quiet too
+    except OSError as exc:
+        # a write to stdout failed: the reader closed it early, as `| head`
+        # does, which ends the run quietly, or the device is full; with
+        # stdout on devnull the interpreter's own flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            _say(f"error: cannot write to stdout: {exc}")
         code = 1
     raise SystemExit(code)
 

@@ -1113,6 +1113,40 @@ def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
     assert [row.get("x") for row in json.loads(written.getvalue())["rows"]] == [0.5, 1.5, 2.5, None]
 
 
+def _fill_then_fail(table, stream):
+    stream.write("partial,table\n")
+    raise OSError(28, "No space left on device")
+
+
+def test_a_failed_write_removes_out_only_if_it_is_a_regular_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_write_csv", _fill_then_fail)
+    line = "error: cannot write output {!r}: [Errno 28] No space left on device\n"
+    out = tmp_path / "rows.csv"
+    rc, stdout, err = run([*goldens.ENTRIES["budget_direct.csv"], "--out", str(out)], capsys)
+    assert (rc, stdout) == (1, "") and err.endswith(line.format(str(out)))
+    assert not out.exists()
+    # a symlink is left as it is, and so is the file it names
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    rc, _, err = run([*goldens.ENTRIES["budget_direct.csv"], "--out", str(link)], capsys)
+    assert rc == 1 and err.endswith(line.format(str(link)))
+    assert link.is_symlink() and target.read_text() == "partial,table\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [goldens.ENTRIES["budget_direct.csv"], ("verify",)], ids=["budget", "verify"])
+def test_a_full_stdout_exits_1_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecodyn", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert proc.returncode == 1
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        "error: cannot write to stdout: [Errno 28] No space left on device"
+    ]
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 # the ends of the range that float columns encode in bulk, and the
 # smallest subnormal and the largest double
 EDGE_FLOATS = [
