@@ -597,7 +597,7 @@ def _run_data(args: argparse.Namespace) -> int:
     }
     fmt, path = read_section(_section(cfg, "output", {}), "section 'output'", readers)
     # the config is checked even where a flag overrides it
-    args.format, args.out = args.format or fmt, args.out or path
+    args.format, args.out = args.format or fmt, args.out if args.out is not None else path
     table = args.table(sec, args)
     if table is not None:
         _emit(args.format, args.out, table)

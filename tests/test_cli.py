@@ -1133,6 +1133,12 @@ def test_a_failed_write_removes_out_only_if_it_is_a_regular_file(monkeypatch, tm
     assert link.is_symlink() and target.read_text() == "partial,table\n"
 
 
+def test_an_empty_out_flag_is_a_path_that_cannot_be_opened(capsys):
+    rc, out, err = run([*goldens.ENTRIES["budget_direct.csv"], "--out", ""], capsys)
+    assert (rc, out) == (1, "")
+    assert err.endswith("error: cannot write output '': [Errno 2] No such file or directory: ''\n")
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("argv", [goldens.ENTRIES["budget_direct.csv"], ("verify",)], ids=["budget", "verify"])
 def test_a_full_stdout_exits_1_with_one_error_line(argv):
