@@ -323,6 +323,18 @@ def test_closed_form_matches_iteration(params, n, mode):
     assert stepped == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: _geometric_level cancels at a pole 2**-53 below 1, "
+    "the draw that makes test_closed_form_matches_iteration fail at random",
+)
+@pytest.mark.parametrize("n", [0, 1])
+def test_closed_form_matches_iteration_next_to_pole_1(n):
+    params = BudgetParams(0.9999999999999999, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+    # closed_form gives 0.0 and -1.0 where iterate gives 1.0 and -1.1e-16
+    assert closed_form(params, n) == pytest.approx(iterate(params, n)[-1], rel=1e-10, abs=1e-10)
+
+
 @settings(max_examples=60)
 @given(budget_params(), st.sampled_from(["direct", "incremental"]))
 def test_fixed_point_is_stationary(params, mode):
