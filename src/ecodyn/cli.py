@@ -129,13 +129,17 @@ _JSON_TEXT: _Text = {
 }
 
 
-def _encode(values: Any, holes: np.ndarray | None, text: _Text) -> list[str]:
-    """Each cell's text in one format, "" where holes marks it. A float column
-    is one orjson call, with e written as repr's e+ in a block that holds a
-    |v| >= 1e16, and text["f"] redoes its cells outside orjson's range;
-    a bool column is one gather."""
+def _encode(values: Any, holes: np.ndarray | None, text: _Text, bulk: bool = True) -> list[str]:
+    """Each cell's text in one format, "" where holes marks it. In bulk, a
+    float column is one orjson call, with e written as repr's e+ in a block
+    that holds a |v| >= 1e16, and text["f"] redoes its cells outside
+    orjson's range; otherwise text["f"] encodes each float cell that is
+    not a hole. A bool column is one gather."""
     values = np.asarray(values)
     holes = np.zeros(values.shape, dtype=bool) if holes is None else holes
+    if values.dtype.kind == "f" and not bulk:
+        encode = text["f"]
+        return ["" if hole else encode(v) for v, hole in zip(values.tolist(), holes.tolist())]
     if values.dtype.kind == "f":
         import orjson  # not at module top: it pulls in uuid and zoneinfo
 
@@ -201,12 +205,15 @@ def _row_blocks(table: _Table, text: _Text) -> Iterator[tuple[list[list[str]], n
     slice of holes, which blank the columns named in sparse. An indexed
     column's values are encoded once; a block gathers their text by index."""
     columns, _, holes, sparse = table
+    rows = len(next(iter(columns.values()), ()))
+    # a table of one block encodes each float cell alone: orjson's import
+    # costs more than it saves on so few cells
+    bulk = rows > _BLOCK_ROWS
     texts = {
-        name: np.array(_encode(column.values, None, text), dtype=object)
+        name: np.array(_encode(column.values, None, text, bulk), dtype=object)
         for name, column in columns.items()
         if isinstance(column, _Indexed)
     }
-    rows = len(next(iter(columns.values()), ()))
     holes = np.zeros(rows, dtype=bool) if holes is None else holes
     for start in range(0, rows, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
@@ -214,7 +221,7 @@ def _row_blocks(table: _Table, text: _Text) -> Iterator[tuple[list[list[str]], n
         block = [
             texts[name][column.index[start:stop]].tolist()
             if name in texts
-            else _encode(column[start:stop], block_holes if name in sparse else None, text)
+            else _encode(column[start:stop], block_holes if name in sparse else None, text, bulk)
             for name, column in columns.items()
         ]
         yield block, block_holes
@@ -441,7 +448,7 @@ def _value(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
                 anchor,
                 np.array([xs[i] for i in lanes]),
                 steps,
-                lambda t, u: vf._ode_slope(exponent, t, u),
+                partial(vf._ode_slope, exponent),
             )
             for i, got in zip(lanes, oracles.rk4_integrate(spec, market[0]).tolist()):
                 y = market[i]

@@ -105,8 +105,13 @@ def _power_law(homog_coeff, exponent, power, x):
 
 
 def _ode_slope(exponent, x, y):
-    """exponent * (y/x - 1), the governing equation's right-hand side, for x > 0."""
-    return exponent * (y / x) - exponent
+    """exponent * (y/x - 1), the governing equation's right-hand side, for x > 0.
+    On numpy columns, the in-place operators write into y / x alone, a new
+    array, and skip two allocations; on floats they rebind."""
+    slope = y / x
+    slope *= exponent
+    slope -= exponent
+    return slope
 
 
 def exponent_from_gains(gains: FeedbackGains) -> float | BalancedFeedback:

@@ -1167,19 +1167,53 @@ EDGE_FLOATS = [
 
 @given(st.lists(st.floats()), st.data())
 def test_float_columns_encode_as_each_cell_alone(drawn, data):
-    # the whole double range, the edges, NaN and the infinities
+    # the whole double range, the edges, NaN and the infinities, in bulk
+    # (one orjson call) and cell by cell, as a table of one block is
     values = [*drawn, *EDGE_FLOATS, *(-v for v in EDGE_FLOATS), math.nan, math.inf, -math.inf]
-    holes = np.array(data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values))))
-    expected = ["" if hole else repr(v) for v, hole in zip(values, holes.tolist())]
-    assert cli._encode(np.array(values), holes, cli._CSV_TEXT) == expected
-    # JSON refuses a non-finite cell unless it is a hole
-    bad = [v for v, hole in zip(values, holes.tolist()) if not (hole or math.isfinite(v))]
-    if bad:
-        with pytest.raises(NumericalFailure, match=f"non-finite value {bad[0]!r} as JSON"):
-            cli._encode(np.array(values), holes, cli._JSON_TEXT)
-    holes |= ~np.isfinite(values)
-    expected = ["" if hole else repr(v) for v, hole in zip(values, holes.tolist())]
-    assert cli._encode(np.array(values), holes, cli._JSON_TEXT) == expected
+    drawn_holes = data.draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    for bulk in (True, False):
+        holes = np.array(drawn_holes)
+        expected = ["" if hole else repr(v) for v, hole in zip(values, holes.tolist())]
+        assert cli._encode(np.array(values), holes, cli._CSV_TEXT, bulk) == expected
+        # JSON refuses a non-finite cell unless it is a hole
+        bad = [v for v, hole in zip(values, holes.tolist()) if not (hole or math.isfinite(v))]
+        if bad:
+            with pytest.raises(NumericalFailure, match=f"non-finite value {bad[0]!r} as JSON"):
+                cli._encode(np.array(values), holes, cli._JSON_TEXT, bulk)
+        holes |= ~np.isfinite(values)
+        expected = ["" if hole else repr(v) for v, hole in zip(values, holes.tolist())]
+        assert cli._encode(np.array(values), holes, cli._JSON_TEXT, bulk) == expected
+
+
+@pytest.mark.parametrize("rows", [5, 6])
+def test_tables_of_one_block_and_of_two_match_the_reference_writers(monkeypatch, rows):
+    # with blocks of 5 rows, a table of 5 encodes each float cell alone and
+    # never imports orjson, while a table of 6 takes the bulk route in both
+    # of its blocks and in its indexed column
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 5)
+    axis = [0.25, 1e-7]
+    values = {
+        "x": [1e-5, -0.0, 2.5, 1.5e16, -1e300, 5e-324][:rows],
+        "i": list(range(rows)),
+        "axis": [axis[j % 2] for j in range(rows)],
+        "ok": [j % 3 == 0 for j in range(rows)],
+    }
+    holes = [j % 4 == 1 for j in range(rows)]
+    columns = {**values, "axis": cli._Indexed(axis, np.arange(rows) % 2), "ok": np.array(values["ok"])}
+    table = cli._Table(columns, {"rows": rows}, np.array(holes), ("x",))
+    csv_rows = [
+        {name: None if hole and name == "x" else values[name][j] for name in values}
+        for j, hole in enumerate(holes)
+    ]
+    json_rows = [{name: v for name, v in row.items() if v is not None} for row in csv_rows]
+    if rows == 5:
+        monkeypatch.setitem(sys.modules, "orjson", None)  # any import of orjson fails
+    assert _written(cli._write_csv, *table) == _reference_csv(list(values), csv_rows)
+    assert _written(cli._write_json, *table) == _reference_json(json_rows, {"rows": rows})
+    if rows == 6:
+        monkeypatch.setitem(sys.modules, "orjson", None)
+        with pytest.raises(ImportError):
+            _written(cli._write_csv, *table)
 
 
 def _random_doubles(seed, count, exponents):
@@ -1243,6 +1277,42 @@ def test_importing_the_cli_leaves_orjson_unloaded():
     )
     proc = subprocess.run([sys.executable, "-c", code, *MODELS], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "[]\n[]\n"
+
+
+def test_orjson_is_loaded_only_for_a_table_longer_than_one_block(tmp_path):
+    # a value curve's 300 rows fit one block of 4096; a 65 x 64 region's
+    # 4160 cells do not
+    region = {
+        "sweep": {
+            "model": "budget",
+            "kind": "stability_region",
+            "base": BUDGET,
+            "axes": [
+                {"name": "tax_rate", "min": 0.0, "max": 1.0, "points": 65},
+                {"name": "invest_share", "min": 0.0, "max": 2.0, "points": 64},
+            ],
+        }
+    }
+    path = tmp_path / "region.json"
+    path.write_text(json.dumps(region))
+    code = (
+        "import sys\n"
+        "from ecodyn import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(rc, 'orjson' in sys.modules)\n"
+    )
+    runs = [
+        ([*goldens.ENTRIES["value_curve.csv"]], "0 False\n"),
+        (["sweep", "--config", str(path)], "0 True\n"),
+        (["sweep", "--config", str(path), "--format", "json"], "0 True\n"),
+    ]
+    for argv, loaded in runs:
+        out = tmp_path / "rows.out"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", str(out)], capture_output=True, text=True
+        )
+        assert proc.stdout == loaded, proc.stderr
+    assert len(out.read_text().splitlines()) > cli._BLOCK_ROWS
 
 
 # each run's golden entry and the models it loads; a reader table built
@@ -1336,9 +1406,9 @@ def test_sweep_output_matches_the_record_route(tmp_path, capsys, monkeypatch):
 def test_sweep_writers_format_each_axis_value_once(tmp_path, capsys, monkeypatch):
     formatted = []
 
-    def counted(values, holes, text, encode=cli._encode):
+    def counted(values, holes, text, bulk, encode=cli._encode):
         formatted.extend(v for v in values if isinstance(v, float))
-        return encode(values, holes, text)
+        return encode(values, holes, text, bulk)
 
     monkeypatch.setattr(cli, "_encode", counted)
     cfg = {

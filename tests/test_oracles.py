@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ecodyn import oracles
 from ecodyn.errors import DomainError, InvariantViolation, NumericalFailure
 from ecodyn.oracles import (
     DiffSpec,
@@ -91,6 +92,105 @@ def test_rk4_failing_lane_is_named(recwarn):
     with pytest.raises(NumericalFailure, match=r"non-finite RK4 state after step 3 at x=2\.25$"):
         rk4_integrate(spec, 1.0)
     assert len(recwarn) == 0  # overflow inside the lanes is not reported twice
+
+
+@pytest.mark.parametrize("block_elements", [5, 6, 9, 12])
+def test_rk4_lanes_equal_scalar_calls_across_blocks(monkeypatch, block_elements):
+    # 3 lanes take blocks of 1, 2, 3 and 4 steps; 23 steps leave a short
+    # last block, and x_start -0.0 must reach the first step as itself
+    monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", block_elements)
+    ends = [0.5, 2.0, 3.25]
+    seen = []
+
+    def rhs(x, y):
+        seen.append(math.copysign(1.0, x) if np.ndim(x) == 0 else None)
+        return -0.75 * (y / (x + 1.0)) + x
+
+    lanes = rk4_integrate(IntegrationSpec(-0.0, np.array(ends), 23, rhs), 1.5)
+    assert seen[0] == -1.0
+    scalar = [rk4_integrate(IntegrationSpec(-0.0, end, 23, rhs), 1.5) for end in ends]
+    assert lanes.tolist() == scalar
+    # and so does a call in one block
+    monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 2**20)
+    assert rk4_integrate(IntegrationSpec(-0.0, np.array(ends), 23, rhs), 1.5).tolist() == scalar
+
+
+def test_rk4_scalar_calls_compute_in_python_floats():
+    # verify's rk4_agreement prints the result's repr: no numpy scalar may
+    # reach the right-hand side or the result
+    types = set()
+
+    def rhs(x, y):
+        types.update((type(x), type(y)))
+        return 0.5 * y - x
+
+    got = rk4_integrate(IntegrationSpec(1.0, 3.0, 50, rhs), 2.0)
+    assert types == {float} and type(got) is float
+
+
+def _explodes_past_2_2(x, y):
+    return y * np.where(x > 2.2, 1e300, 1.0)
+
+
+@pytest.mark.parametrize(
+    "block_elements, steps, step, x",
+    [
+        (6, 4, 3, 2.25),  # the last step of the second block of 2
+        (9, 4, 3, 2.25),  # the first step of the second block, of 1
+        (12, 4, 3, 2.25),  # the last step of one block
+        (2**20, 8, 6, 2.25),  # one block runs on for a step past the failure
+        (3, 8, 6, 2.25),  # blocks of one step
+    ],
+)
+def test_rk4_failing_lane_is_named_in_any_block(monkeypatch, recwarn, block_elements, steps, step, x):
+    # as test_rk4_failing_lane_is_named, with 3 lanes to a block of
+    # block_elements // 3 steps
+    monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", block_elements)
+    spec = IntegrationSpec(0.0, np.array([1.0, 3.0, 2.0]), steps, _explodes_past_2_2)
+    message = rf"non-finite RK4 state after step {step} at x={x}$"
+    with pytest.raises(NumericalFailure, match=message):
+        rk4_integrate(spec, 1.0)
+    assert len(recwarn) == 0  # the run again of a failed block warns of nothing
+
+
+def _divides_by_zero_past_2_7(x, y):
+    return _explodes_past_2_2(x, y) + (1.0 / (x <= 2.7) - 1.0)
+
+
+def _raises_past_2_7(x, y):
+    if np.any(x > 2.7):
+        raise ValueError("past 2.7")
+    return _explodes_past_2_2(x, y)
+
+
+@pytest.mark.parametrize("rhs", [_divides_by_zero_past_2_7, _raises_past_2_7])
+def test_rk4_steps_past_a_failure_leave_no_trace(recwarn, rhs):
+    # the lane ending at 3 fails in step 6; step 7, which a call in one
+    # block also takes, divides by zero or raises past x = 2.7, which a
+    # step-by-step run never reaches
+    spec = IntegrationSpec(0.0, np.array([1.0, 3.0, 2.0]), 8, rhs)
+    with pytest.raises(NumericalFailure, match=r"after step 6 at x=2\.25$"):
+        rk4_integrate(spec, 1.0)
+    assert len(recwarn) == 0
+
+
+def test_rk4_lanes_raise_what_the_rhs_raises(monkeypatch):
+    # a finite run whose right-hand side raises in step 7, in the last of
+    # three blocks: the run again of the block raises it too
+    monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 6)
+    calls = []
+
+    def rhs(x, y):
+        calls.append(1)
+        if np.any(x > 2.7):
+            raise ValueError("past 2.7")
+        return -y
+
+    spec = IntegrationSpec(0.0, np.array([1.0, 3.0]), 8, rhs)
+    with pytest.raises(ValueError, match="past 2.7"):
+        rk4_integrate(spec, 1.0)
+    # steps 0 to 6 once, step 6 again, and two calls of step 7 each time
+    assert len(calls) == 7 * 4 + 4 + 2 * 2
 
 
 @pytest.mark.parametrize(
