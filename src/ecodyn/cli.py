@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -795,15 +796,28 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if isinstance(exc, InvariantViolation) else 2
 
 
+class _ClosedStdout(io.TextIOBase):
+    """The stdout of a process started without one (``>&-``), where Python
+    sets sys.stdout to None: a write fails as it would on a closed
+    descriptor, so only a run that writes to stdout fails."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def entry() -> None:
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     try:
         code = main()
         sys.stdout.flush()
     except OSError as exc:
         # a write to stdout failed: the reader closed it early, as `| head`
-        # does, which ends the run quietly, or the device is full; with
-        # stdout on devnull the interpreter's own flush at exit stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # does, which ends the run quietly, or the device is full or
+        # closed; with stdout on devnull the interpreter's own flush at
+        # exit stays quiet
+        if not isinstance(sys.stdout, _ClosedStdout):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):
             _say(f"error: cannot write to stdout: {exc}")
         code = 1

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -1151,6 +1152,36 @@ def test_a_full_stdout_exits_1_with_one_error_line(argv):
         "error: cannot write to stdout: [Errno 28] No space left on device"
     ]
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+CLOSED_STDOUT_ERROR = ["error: cannot write to stdout: [Errno 9] Bad file descriptor"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, errors",
+    [
+        (goldens.ENTRIES["budget_direct.csv"], 1, CLOSED_STDOUT_ERROR),
+        (("verify",), 1, CLOSED_STDOUT_ERROR),
+        ((*goldens.ENTRIES["budget_direct.csv"], "--out", "{out}"), 0, []),
+    ],
+    ids=["budget", "verify", "budget-out"],
+)
+def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(tmp_path, argv, code, errors):
+    # as `ecodyn ... >&-`: the child starts with no file descriptor 1, and
+    # Python sets sys.stdout to None
+    out = tmp_path / "rows.csv"
+    argv = [arg.format(out=out) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ecodyn", *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == code
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == errors
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    if not code:
+        assert out.read_text() == (goldens.GOLDEN / "budget_direct.csv").read_text()
 
 
 # the ends of the range that float columns encode in bulk, and the
