@@ -89,7 +89,8 @@ def rk4_integrate(spec: IntegrationSpec, y_start: float | np.ndarray) -> float |
 
 
 # A lane call takes its steps a block at a time, a block holding at most
-# this many abscissae per array, so memory stays flat however many lanes.
+# this many abscissae per array (or one step's, past this many lanes), so
+# its memory stays that of a few states however many steps it takes.
 _BLOCK_ELEMENTS = 2**12
 
 
