@@ -13,6 +13,7 @@ misread; they carry no pass/fail status.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
@@ -111,7 +112,16 @@ def _random_budgets(rng: random.Random, n: int) -> np.ndarray:
     return columns
 
 
-def _check_wage_grid_argmax(tol: float, rng: random.Random):
+def _worst(errors: list[float] | np.ndarray) -> float:
+    """The largest of a check's per-draw errors, 0.0 when there are none.
+
+    A NaN error makes the result NaN, which fails any tolerance; max()
+    would pass over a NaN that is not its first argument.
+    """
+    return float(np.max(errors, initial=0.0))
+
+
+def _check_wage_grid_argmax(rng: random.Random):
     misses = 0
     for _ in range(100):
         cs = _random_cost_structure(rng)
@@ -124,11 +134,11 @@ def _check_wage_grid_argmax(tol: float, rng: random.Random):
         assert isinstance(best, wp.ProfitPoint)
         if found != best.wage:
             misses += 1
-    return misses <= tol, float(misses), f"{100 - misses}/100 maximizers at the wage floor"
+    return float(misses), f"{100 - misses}/100 maximizers at the wage floor"
 
 
-def _check_wage_derivative_fd(tol: float, rng: random.Random):
-    worst = 0.0
+def _check_wage_derivative_fd(rng: random.Random):
+    errors = []
     for _ in range(100):
         cs = _random_cost_structure(rng)
         w = rng.uniform(0.2, 5.0)
@@ -140,52 +150,45 @@ def _check_wage_derivative_fd(tol: float, rng: random.Random):
         # steps scale with the wage so truncation error stays scale-free
         fd1 = oracles.central_diff_first(f, w, oracles.DiffSpec(h=1e-4 * w))
         fd2 = oracles.central_diff_second(f, w, oracles.DiffSpec(h=5e-4 * w))
-        worst = max(worst, abs(fd1 - d1) / abs(d1), abs(fd2 - d2) / abs(d2))
-    return worst <= tol, worst, f"max relative derivative error over 100 structures: {worst:.3e}"
+        errors += abs(fd1 - d1) / abs(d1), abs(fd2 - d2) / abs(d2)
+    worst = _worst(errors)
+    return worst, f"max relative derivative error over 100 structures: {worst:.3e}"
 
 
-def _check_wage_unbounded(tol: float, rng: random.Random):
+def _check_wage_unbounded(rng: random.Random):
     cs = wp.CostStructure(10.0, 1.0)
     ratio_ok = wp.net_profit(cs, 1e-9) > 1e9 * wp.net_profit(cs, 1.0)
     marker_ok = isinstance(wp.optimal_wage(cs, wp.WageBound(0.0)), wp.UnboundedProfit)
-    passed = ratio_ok and marker_ok
-    return (
-        passed,
-        0.0 if passed else 1.0,
-        "profit at wage 1e-9 dwarfs profit at wage 1; a zero floor yields the unbounded marker",
-    )
+    detail = "profit at wage 1e-9 dwarfs profit at wage 1; a zero floor yields the unbounded marker"
+    return (0.0 if ratio_ok and marker_ok else math.inf), detail
 
 
-def _check_ode_residual_closed_form(tol: float, rng: random.Random):
-    worst = 0.0
+def _ode_residual(slope: Callable[[vf.MarketValueSolution, float], float]) -> float:
+    """Largest |slope(sol, x) - ode_rhs| of the closed form on PROBE_EXPONENTS x 50 x."""
+    errors = []
     for b in PROBE_EXPONENTS:
         sol = vf.MarketValueSolution.with_default_coeff(b)
-        for x in np.linspace(0.5, 5.0, 50):
-            x = float(x)
-            lhs = vf.closed_form_slope(sol, x)
-            rhs = vf.ode_rhs(b, x, vf.analytic_market_value(sol, x))
-            worst = max(worst, abs(lhs - rhs))
-    return worst <= tol, worst, f"max equation residual of the exact slope: {worst:.3e}"
+        for x in np.linspace(0.5, 5.0, 50).tolist():
+            errors.append(abs(slope(sol, x) - vf.ode_rhs(b, x, vf.analytic_market_value(sol, x))))
+    return _worst(errors)
 
 
-def _check_ode_residual_fd(tol: float, rng: random.Random):
-    worst = 0.0
-    for b in PROBE_EXPONENTS:
-        sol = vf.MarketValueSolution.with_default_coeff(b)
-
-        def f(x: float, sol=sol) -> float:
-            return vf.analytic_market_value(sol, x)
-
-        for x in np.linspace(0.5, 5.0, 50):
-            x = float(x)
-            fd = oracles.central_diff_first(f, x)
-            rhs = vf.ode_rhs(b, x, f(x))
-            worst = max(worst, abs(fd - rhs))
-    return worst <= tol, worst, f"max equation residual of the finite-difference slope: {worst:.3e}"
+def _check_ode_residual_closed_form(rng: random.Random):
+    worst = _ode_residual(vf.closed_form_slope)
+    return worst, f"max equation residual of the exact slope: {worst:.3e}"
 
 
-def _check_rk4_agreement(tol: float, rng: random.Random):
-    worst = 0.0
+def _fd_slope(sol: vf.MarketValueSolution, x: float) -> float:
+    return oracles.central_diff_first(lambda v: vf.analytic_market_value(sol, v), x)
+
+
+def _check_ode_residual_fd(rng: random.Random):
+    worst = _ode_residual(_fd_slope)
+    return worst, f"max equation residual of the finite-difference slope: {worst:.3e}"
+
+
+def _check_rk4_agreement(rng: random.Random):
+    errors = []
     for b in PROBE_EXPONENTS:
         sol = vf.MarketValueSolution.with_default_coeff(b)
         spec = oracles.IntegrationSpec(
@@ -193,37 +196,35 @@ def _check_rk4_agreement(tol: float, rng: random.Random):
         )
         got = oracles.rk4_integrate(spec, vf.analytic_market_value(sol, 1.0))
         exact = vf.analytic_market_value(sol, 3.0)
-        worst = max(worst, abs(got - exact) / max(1.0, abs(exact)))
-    return worst <= tol, worst, f"max relative gap between integrator and closed form: {worst:.3e}"
+        errors.append(abs(got - exact) / max(1.0, abs(exact)))
+    worst = _worst(errors)
+    return worst, f"max relative gap between integrator and closed form: {worst:.3e}"
 
 
-def _check_gap_convergence(tol: float, rng: random.Random):
+def _check_gap_convergence(rng: random.Random):
     probe = vf.limit_probe(2.0, [b for b, _ in GAP_TARGETS])
     gaps = [g for _, g in probe.points]
-    worst = max(abs(g - t) for g, (_, t) in zip(gaps, GAP_TARGETS))
+    worst = _worst([abs(g - t) for g, (_, t) in zip(gaps, GAP_TARGETS)])
     shrinking = all(abs(a) > abs(b) for a, b in zip(gaps, gaps[1:]))
-    passed = worst <= tol and shrinking and not probe.divergent
-    return (
-        passed,
-        worst,
-        f"gaps {[round(g, 9) for g in gaps]} match quoted values; magnitudes shrink",
-    )
+    detail = f"gaps {[round(g, 9) for g in gaps]} match quoted values; magnitudes shrink"
+    return (worst if shrinking and not probe.divergent else math.inf), detail
 
 
-def _check_recurrence_closed_vs_iterate(tol: float, rng: random.Random):
-    worst = 0.0
+def _check_recurrence_closed_vs_iterate(rng: random.Random):
+    errors = []
     for i in range(500):
         params = _random_budget(rng)
         n = rng.randint(0, 50)
         mode = bd.MODES[i % 2]
         stepped = bd.iterate(params, n, mode)[-1]
         direct = bd.closed_form(params, n, mode)
-        worst = max(worst, abs(stepped - direct) / max(1.0, abs(direct)))
-    return worst <= tol, worst, f"max relative gap over 500 trajectories, both modes: {worst:.3e}"
+        errors.append(abs(stepped - direct) / max(1.0, abs(direct)))
+    worst = _worst(errors)
+    return worst, f"max relative gap over 500 trajectories, both modes: {worst:.3e}"
 
 
-def _check_fixed_point_identity(tol: float, rng: random.Random):
-    worst = 0.0
+def _check_fixed_point_identity(rng: random.Random):
+    errors = []
     for i in range(500):
         params = _random_budget(rng)
         mode = bd.MODES[i % 2]
@@ -232,9 +233,9 @@ def _check_fixed_point_identity(tol: float, rng: random.Random):
             continue
         coeffs = bd.coefficients(params)
         pole = coeffs.pole_in_mode(mode)
-        resid = abs(pole * fp + coeffs.constant_flow - fp) / max(1.0, abs(fp))
-        worst = max(worst, resid)
-    return worst <= tol, worst, f"max fixed-point residual over 500 draws: {worst:.3e}"
+        errors.append(abs(pole * fp + coeffs.constant_flow - fp) / max(1.0, abs(fp)))
+    worst = _worst(errors)
+    return worst, f"max fixed-point residual over 500 draws: {worst:.3e}"
 
 
 def _bounded_leverage_budgets(rng: random.Random, n: int) -> np.ndarray:
@@ -253,7 +254,7 @@ def _bounded_leverage_budgets(rng: random.Random, n: int) -> np.ndarray:
     return accepted
 
 
-def _check_pole_range_equivalence(tol: float, rng: random.Random):
+def _check_pole_range_equivalence(rng: random.Random):
     t, s, p, i, f, g, _ = _bounded_leverage_budgets(rng, 10000)
     lo, hi = bd._stable_interval(bd._leverage(s, p, i, f), "direct")
     if not np.all(lo < hi):
@@ -261,24 +262,21 @@ def _check_pole_range_equivalence(tol: float, rng: random.Random):
     in_range = (lo <= t) & (t <= hi)
     stable = bd._is_stable(bd._coefficients(t, s, p, i, f, g).pole)
     mismatches = int(np.count_nonzero(in_range != stable))
-    return (
-        mismatches <= tol,
-        float(mismatches),
-        f"{mismatches} disagreements between pole magnitude and tax interval over 10000 draws",
-    )
+    detail = f"{mismatches} disagreements between pole magnitude and tax interval over 10000 draws"
+    return float(mismatches), detail
 
 
-def _check_regrouping_identity(tol: float, rng: random.Random):
+def _check_regrouping_identity(rng: random.Random):
     t, s, p, i, f, g, _ = _random_budgets(rng, 10000)
     lev = bd._leverage(s, p, i, f)
     regrouped = t * (1.0 + lev) - lev
     pole = bd._coefficients(t, s, p, i, f, g).pole
-    worst = float(np.abs(pole - regrouped).max())
-    return worst <= tol, worst, f"max pole regrouping discrepancy over 10000 draws: {worst:.3e}"
+    worst = _worst(np.abs(pole - regrouped))
+    return worst, f"max pole regrouping discrepancy over 10000 draws: {worst:.3e}"
 
 
-def _check_impulse_step_consistency(tol: float, rng: random.Random):
-    worst = 0.0
+def _check_impulse_step_consistency(rng: random.Random):
+    errors = []
     coeffs = bd.coefficients(REFERENCE_BUDGET)
     for mode in bd.MODES:
         pole = coeffs.pole_in_mode(mode)
@@ -287,12 +285,9 @@ def _check_impulse_step_consistency(tol: float, rng: random.Random):
         for n in range(30):
             level = pole * level + coeffs.constant_flow
             acc += bd.impulse_response(REFERENCE_BUDGET, n, mode)
-            worst = max(worst, abs(level - acc) / max(1.0, abs(acc)))
-    return (
-        worst <= tol,
-        worst,
-        f"max gap between accumulated impulses and the stepped response: {worst:.3e}",
-    )
+            errors.append(abs(level - acc) / max(1.0, abs(acc)))
+    worst = _worst(errors)
+    return worst, f"max gap between accumulated impulses and the stepped response: {worst:.3e}"
 
 
 def _leverage_scan():
@@ -321,13 +316,10 @@ def _leverage_scan():
     return worst, fires, agrees
 
 
-def _check_shrink_reachability(tol: float, rng: random.Random):
+def _check_shrink_reachability(rng: random.Random):
     worst, fires, agrees = _leverage_scan()
-    return (
-        fires <= tol and agrees,
-        float(fires),
-        f"shrink predicate fired {fires} times over 194481 grid points; max leverage {worst}",
-    )
+    detail = f"shrink predicate fired {fires} times over 194481 grid points; max leverage {worst}"
+    return (float(fires) if agrees else math.inf), detail
 
 
 # a dataclass, not a NamedTuple: perfbench's tracer swaps fn with dataclasses.replace
@@ -336,7 +328,7 @@ class Check:
     name: str
     tolerance: float
     description: str
-    fn: Callable[[float, random.Random], tuple[bool, float, str]]
+    fn: Callable[[random.Random], tuple[float, str]]
 
 
 CHECKS: tuple[Check, ...] = (
@@ -483,6 +475,11 @@ def run_all(
 ) -> AuditReport:
     """Run every check, with optional per-check tolerance overrides.
 
+    A check returns its observed value and a detail line. It passes when
+    the observed value is <= its tolerance, so NaN fails any tolerance.
+    wage_unbounded_limit, gap_convergence and shrink_reachability observe
+    inf when the condition they test beside their tolerance fails.
+
     Unknown override names are rejected up front so a typo cannot
     silently leave the intended check at its default, and so are values
     that are not finite and >= 0: a NaN or negative tolerance fails any
@@ -503,6 +500,6 @@ def run_all(
     for check in CHECKS:
         tol = tolerances[check.name]
         rng = random.Random(f"{seed}:{check.name}")
-        passed, observed, detail = check.fn(tol, rng)
-        results.append(CheckResult(check.name, passed, tol, observed, detail))
+        observed, detail = check.fn(rng)
+        results.append(CheckResult(check.name, observed <= tol, tol, observed, detail))
     return AuditReport(tuple(results), _notes())

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from ecodyn import audit
 from ecodyn import budget_dynamics as bd
+from ecodyn import value_feedback as vf
 from ecodyn import wage_profit as wp
+from ecodyn.cli import main
 from ecodyn.errors import InvariantViolation
 
 
@@ -42,13 +45,14 @@ def test_runs_are_deterministic(report):
 
 def test_each_check_takes_a_replaced_fn(monkeypatch, report):
     # perfbench/tracer.py times each check by swapping its fn through
-    # dataclasses.replace, so Check must stay a dataclass with that field
+    # dataclasses.replace, so Check must stay a dataclass with that field,
+    # and calls it with whatever arguments run_all passes
     ran = []
 
     def replaced(check):
-        def fn(tol, rng):
+        def fn(*args, **kwargs):
             ran.append(check.name)
-            return check.fn(tol, rng)
+            return check.fn(*args, **kwargs)
 
         return dataclasses.replace(check, fn=fn)
 
@@ -92,6 +96,64 @@ def test_loosened_tolerance_passes():
     assert by_name["wage_derivative_fd"].passed
 
 
+def _nan(*args):
+    return math.nan
+
+
+# a model function that returns NaN, and the check that must catch it
+NAN_MUTANTS = {
+    "closed_form": (bd, _nan, "recurrence_closed_vs_iterate"),
+    "fixed_point": (bd, _nan, "fixed_point_identity"),
+    "impulse_response": (bd, _nan, "impulse_step_consistency"),
+    "profit_derivatives": (wp, lambda cs, wage: (math.nan, math.nan), "wage_derivative_fd"),
+    "closed_form_slope": (vf, _nan, "ode_residual_closed_form"),
+}
+
+
+@pytest.mark.parametrize("function", NAN_MUTANTS)
+def test_a_nan_from_a_model_function_fails_its_check(monkeypatch, capsys, function):
+    # a fold that passes over a NaN would report 0.0 here, and 13/13
+    module, mutant, check = NAN_MUTANTS[function]
+    monkeypatch.setattr(module, function, mutant)
+    result = {r.name: r for r in audit.run_all().results}[check]
+    assert not result.passed
+    assert math.isnan(result.observed)
+    assert main(["verify"]) == 3
+    out = capsys.readouterr().out
+    assert f"FAIL {check} tolerance={result.tolerance!r} observed=nan :: " in out
+
+
+_limit_probe = vf.limit_probe
+
+
+def _divergent_probe(true_value, exponents):
+    return _limit_probe(true_value, exponents)._replace(divergent=True)
+
+
+# for each check that also tests a condition, a model function that
+# breaks only that condition: its tolerance part would still pass
+COMPOSITE_MUTANTS = {
+    # a zero floor no longer yields the unbounded marker
+    "wage_unbounded_limit": (wp, "optimal_wage", lambda cs, bound: wp.ProfitPoint(1.0, 0.0)),
+    # the gaps match their quoted values, but the probe reports divergence
+    "gap_convergence": (vf, "limit_probe", _divergent_probe),
+    # the scalar leverage disagrees with the scanned surface
+    "shrink_reachability": (bd, "tax_leverage", lambda params: 0.5),
+}
+
+
+@pytest.mark.parametrize("overrides", [False, True], ids=["default", "loosened"])
+@pytest.mark.parametrize("check", COMPOSITE_MUTANTS)
+def test_a_composite_check_fails_when_its_condition_fails(monkeypatch, check, overrides):
+    module, function, mutant = COMPOSITE_MUTANTS[check]
+    monkeypatch.setattr(module, function, mutant)
+    report = audit.run_all({check: 1e300} if overrides else None)
+    result = {r.name: r for r in report.results}[check]
+    assert result.tolerance == (1e300 if overrides else audit.default_tolerances()[check])
+    assert not result.passed
+    assert result.observed == math.inf
+
+
 # The scalar route the three 10k-draw checks took before they were
 # evaluated in numpy: one model call (and one BudgetParams) per draw, and
 # a per-point grid search. The columnar checks must agree with it exactly.
@@ -107,7 +169,7 @@ def _scalar_grid_argmax(f, grid):
     return best_x, best_val
 
 
-def _scalar_wage_grid_argmax(tol, rng):
+def _scalar_wage_grid_argmax(rng):
     misses = 0
     for _ in range(100):
         cs = audit._random_cost_structure(rng)
@@ -118,10 +180,10 @@ def _scalar_wage_grid_argmax(tol, rng):
         assert isinstance(best, wp.ProfitPoint)
         if found != best.wage:
             misses += 1
-    return misses <= tol, float(misses), f"{100 - misses}/100 maximizers at the wage floor"
+    return float(misses), f"{100 - misses}/100 maximizers at the wage floor"
 
 
-def _scalar_pole_range_equivalence(tol, rng):
+def _scalar_pole_range_equivalence(rng):
     accepted = 0
     mismatches = 0
     while accepted < 10000:
@@ -138,20 +200,19 @@ def _scalar_pole_range_equivalence(tol, rng):
         if in_range != stable:
             mismatches += 1
     return (
-        mismatches <= tol,
         float(mismatches),
         f"{mismatches} disagreements between pole magnitude and tax interval over 10000 draws",
     )
 
 
-def _scalar_regrouping_identity(tol, rng):
+def _scalar_regrouping_identity(rng):
     worst = 0.0
     for _ in range(10000):
         params = audit._random_budget(rng)
         lev = bd.tax_leverage(params)
         regrouped = params.tax_rate * (1.0 + lev) - lev
         worst = max(worst, abs(bd.coefficients(params).pole - regrouped))
-    return worst <= tol, worst, f"max pole regrouping discrepancy over 10000 draws: {worst:.3e}"
+    return worst, f"max pole regrouping discrepancy over 10000 draws: {worst:.3e}"
 
 
 SCALAR_CHECKS = {
@@ -161,21 +222,14 @@ SCALAR_CHECKS = {
 }
 
 
-def _scalar_results(overrides, seed):
-    tolerances = {**audit.default_tolerances(), **overrides}
-    return {
-        name: check(tolerances[name], random.Random(f"{seed}:{name}"))
-        for name, check in SCALAR_CHECKS.items()
-    }
+def _scalar_results(seed):
+    return {name: check(random.Random(f"{seed}:{name}")) for name, check in SCALAR_CHECKS.items()}
 
 
-def _columnar_results(overrides, seed):
-    # the columnar checks seeded as run_all seeds them, but called directly:
-    # a tolerance below 0, which run_all rejects, is the one way to fail a
-    # check whose observed value is 0
-    tolerances = {**audit.default_tolerances(), **overrides}
+def _columnar_results(seed):
+    # the columnar checks seeded as run_all seeds them, but called directly
     return {
-        check.name: check.fn(tolerances[check.name], random.Random(f"{seed}:{check.name}"))
+        check.name: check.fn(random.Random(f"{seed}:{check.name}"))
         for check in audit.CHECKS
         if check.name in SCALAR_CHECKS
     }
@@ -189,28 +243,37 @@ def _same(columnar, scalar):
 
 @pytest.mark.parametrize("seed", [audit.DEFAULT_SEED, 1, 2, 3, 7])
 def test_columnar_checks_match_the_scalar_route(seed):
-    columnar = _columnar_results({}, seed)
-    _same(columnar, _scalar_results({}, seed))
+    columnar = _columnar_results(seed)
+    _same(columnar, _scalar_results(seed))
     report = audit.run_all(None, seed)
-    results = {r.name: (r.passed, r.observed, r.detail) for r in report.results}
+    results = {r.name: (r.observed, r.detail) for r in report.results}
     _same({name: results[name] for name in columnar}, columnar)
 
 
 @pytest.mark.parametrize(
     "overrides",
     [
-        # every observed value lies above these, so each check fails
-        {"wage_grid_argmax": -1.0, "pole_range_equivalence": -1.0, "regrouping_identity": 1e-17},
+        # the tightest tolerances run_all accepts: 0 for the two checks that
+        # observe 0, and one below regrouping_identity's observed 4.4e-16
+        {"wage_grid_argmax": 0.0, "pole_range_equivalence": 0.0, "regrouping_identity": 1e-17},
         {"wage_grid_argmax": 5.0, "pole_range_equivalence": 3.0, "regrouping_identity": 1e-9},
     ],
     ids=["tightened", "loosened"],
 )
 def test_columnar_checks_match_the_scalar_route_under_overrides(overrides):
-    columnar = _columnar_results(overrides, audit.DEFAULT_SEED)
-    _same(columnar, _scalar_results(overrides, audit.DEFAULT_SEED))
-    passed = {name: result[0] for name, result in columnar.items()}
-    expected = overrides["regrouping_identity"] > 1e-16
-    assert passed == dict.fromkeys(SCALAR_CHECKS, expected)
+    columnar = _columnar_results(audit.DEFAULT_SEED)
+    scalar = _scalar_results(audit.DEFAULT_SEED)
+    _same(columnar, scalar)
+    report = audit.run_all(overrides)
+    results = {r.name: (r.passed, r.observed, r.detail) for r in report.results}
+    expected = {
+        name: (observed <= overrides[name], observed, detail)
+        for name, (observed, detail) in scalar.items()
+    }
+    _same({name: results[name] for name in scalar}, expected)
+    # only regrouping_identity's tightened tolerance lies below its observed value
+    tightened = overrides["regrouping_identity"] < 1e-16
+    assert [r.name for r in report.results if not r.passed] == ["regrouping_identity"] * tightened
 
 
 @given(st.integers(0, 2**32), st.integers(0, 60))
