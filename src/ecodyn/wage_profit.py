@@ -84,8 +84,23 @@ def gross_margin(cs: CostStructure) -> float:
     This is the constant numerator of the profit curve. A nonpositive
     margin means the configuration can never turn a profit at any wage,
     which downstream monotonicity arguments rely on excluding.
+
+    The float margin is kept wherever its error bound vouches for its
+    sign. Near break-even, where rounding could flip the sign, the margin
+    is the correctly rounded value of the exact one, from Fraction.
     """
-    margin = cs.max_market_price - sum(w * z for w, z in cs.other_factors)
+    cost = sum(w * z for w, z in cs.other_factors)
+    margin = cs.max_market_price - cost
+    # k products, k - 1 sums and one difference: |error| <= gamma_(k+1) *
+    # (price + cost), plus half the least subnormal for each product that
+    # underflows (Higham ch. 3); the band is twice that
+    k = len(cs.other_factors)
+    band = (k + 1) * 2.0**-52 * (cs.max_market_price + cost) + k * 2.0**-1074
+    if abs(margin) < band:
+        from fractions import Fraction  # here, not at the top: only a margin in the band needs it
+
+        exact = sum(Fraction(w) * Fraction(z) for w, z in cs.other_factors)
+        margin = float(Fraction(cs.max_market_price) - exact)
     if margin <= 0:
         raise NonpositiveMargin(
             f"non-labor cost absorbs the whole selling price (margin {margin!r})"

@@ -1563,6 +1563,32 @@ def test_exit_code_domain_error(capsys):
     assert "error:" in err
 
 
+# 0.1 + 0.2 rounds to this price, so the float margin is 0.0, but the
+# exact margin of these floats is +2.7755575615628914e-17
+BREAK_EVEN = {
+    "max_market_price": 0.30000000000000004,
+    "labor_weight": 0.7,
+    "other_factors": [[0.1, 1.0], [0.2, 1.0]],
+}
+
+
+def test_a_margin_that_rounds_to_zero_keeps_its_exact_sign(tmp_path, capsys):
+    path = tmp_path / "break_even.json"
+    path.write_text(json.dumps({"wage": {**BREAK_EVEN, "floor": 1.0}}))
+    rc, _, err = run(["wage", "--config", str(path)], capsys)
+    assert rc == 0, err
+    assert "gross margin: 2.7755575615628914e-17" in err
+
+
+def test_a_wage_sweep_near_break_even_keeps_its_cells(tmp_path, capsys):
+    axis = {"name": "wage", "min": 1.0, "max": 2.0, "points": 3}
+    path = tmp_path / "break_even_sweep.json"
+    path.write_text(json.dumps({"sweep": {"model": "wage", "base": BREAK_EVEN, "axes": [axis]}}))
+    rc, out, err = run(["sweep", "--config", str(path)], capsys)
+    assert rc == 0, err
+    assert len(out.splitlines()) == 4  # the header and 3 cells
+
+
 def test_exit_code_usage_errors(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["wage"]) == 1  # --config is required

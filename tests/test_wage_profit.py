@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from exact import correctly_rounded
+from hypothesis import assume, given, strategies as st
 
 from ecodyn.errors import DomainError, InvariantViolation, NonpositiveMargin, NumericalFailure
 from ecodyn.oracles import DiffSpec, central_diff_first, central_diff_second
@@ -50,6 +52,31 @@ def test_nonpositive_margin():
         gross_margin(squeezed)
     with pytest.raises(NonpositiveMargin):
         net_profit(squeezed, 1.0)
+
+
+@given(
+    st.floats(0.05, 0.95),
+    st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 100.0)), min_size=1, max_size=3),
+    st.integers(-4, 4),
+)
+def test_margin_near_break_even_has_the_exact_sign(labor, factors, ulps):
+    total = sum(w for w, _ in factors)
+    factors = tuple((w * (1.0 - labor) / total, z) for w, z in factors)
+    # prices within 4 ulps of the float cost, where the float margin can
+    # carry the wrong sign
+    price = sum(w * z for w, z in factors)
+    assume(price > 0.0)
+    for _ in range(abs(ulps)):
+        price = math.nextafter(price, math.copysign(math.inf, ulps))
+    cs = CostStructure(price, labor, factors)
+    exact = Fraction(price) - sum(Fraction(w) * Fraction(z) for w, z in factors)
+    if exact <= 0:
+        with pytest.raises(NonpositiveMargin):
+            gross_margin(cs)
+    else:
+        margin = gross_margin(cs)
+        assert margin > 0.0
+        assert correctly_rounded(margin, exact)
 
 
 def test_weights_must_sum_to_one():
