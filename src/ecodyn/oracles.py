@@ -81,11 +81,12 @@ def rk4_integrate(spec: IntegrationSpec, y_start: float | np.ndarray) -> float |
     to the result.
     """
     h = (spec.x_end - spec.x_start) / spec.steps
-    if np.ndim(h) or np.ndim(y_start):
-        return _rk4_lanes(spec, h, y_start)
-    # math.isfinite costs a fraction of np.isfinite on a float
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rk4_run(spec, h, y_start, 0, spec.steps, math.isfinite)
+        if np.ndim(h) or np.ndim(y_start):
+            y = _rk4_lanes(spec, h, y_start)
+            if y is not None:
+                return y
+        return _rk4_run(spec, h, y_start)
 
 
 # A lane call takes its steps a block at a time, a block holding at most
@@ -94,48 +95,42 @@ def rk4_integrate(spec: IntegrationSpec, y_start: float | np.ndarray) -> float |
 _BLOCK_ELEMENTS = 2**12
 
 
-def _rk4_lanes(spec: IntegrationSpec, h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """rk4_integrate on lanes. A block's abscissae x_start + i*h come from
-    one broadcast, the same values a step computes alone, and its states
-    are tested once, at the block's end. A block that ends non-finite, or
-    raises, is run again from its start state by _rk4_run, which tests
-    every step and so names the same failing step. Division by zero
-    raises inside a block, so a block that would warn is also run again,
-    and warns there as a lone step does."""
+def _rk4_lanes(spec: IntegrationSpec, h: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """rk4_integrate on lanes, or None at the first block that ends
+    non-finite or raises. A block's abscissae x_start + i*h come from one
+    broadcast, the same values a step computes alone, and its states are
+    tested once, at the block's end. Division by zero raises inside a
+    block. On None, rk4_integrate runs the whole call again from step 0
+    by _rk4_run, which names the failing step, warns as a lone step does,
+    and raises again what the right-hand side raised."""
     f, x_start = spec.rhs, spec.x_start
     half, sixth = h / 2, h / 6
     block = max(1, _BLOCK_ELEMENTS // max(1, np.size(h)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, spec.steps, block):
-            stop = min(start + block, spec.steps)
-            at = x_start + np.multiply.outer(np.arange(start, stop), h)
-            y_block = y
-            try:
-                with np.errstate(divide="raise"):
-                    for i, x, x_half, x_full in zip(range(start, stop), at, at + half, at + h):
-                        y = _rk4_step(f, h, sixth, x if i else x_start, x_half, x_full, y)
-                failed = not _all_finite(y)
-            except Exception:  # the run again raises it, or fails at an earlier step
-                failed = True
-            if failed:
-                y = _rk4_run(spec, h, y_block, start, stop, _all_finite)
+    for start in range(0, spec.steps, block):
+        stop = min(start + block, spec.steps)
+        at = x_start + np.multiply.outer(np.arange(start, stop), h)
+        try:
+            with np.errstate(divide="raise"):
+                for i, x, x_half, x_full in zip(range(start, stop), at, at + half, at + h):
+                    y = _rk4_step(f, h, sixth, x if i else x_start, x_half, x_full, y)
+        except Exception:  # the run from step 0 raises it again, or fails before it
+            return None
+        if not _all_finite(y):
+            return None
     return y
 
 
 def _rk4_run(
-    spec: IntegrationSpec,
-    h: float | np.ndarray,
-    y: float | np.ndarray,
-    start: int,
-    stop: int,
-    all_finite: Callable[[Any], bool],
+    spec: IntegrationSpec, h: float | np.ndarray, y: float | np.ndarray
 ) -> float | np.ndarray:
-    """Steps start to stop - 1 from state y by the plain formula, each new
-    state tested alone: the scalar route, and the reference that the lane
-    route's _rk4_step equals bit for bit."""
+    """Every step from state y by the plain formula, each new state tested
+    alone: the scalar route, and the reference that the lane route's
+    _rk4_step equals bit for bit."""
     f, x_start = spec.rhs, spec.x_start
     half, sixth = h / 2, h / 6
-    for i in range(start, stop):
+    # math.isfinite costs a fraction of np.isfinite on a float
+    all_finite = _all_finite if np.ndim(h) or np.ndim(y) else math.isfinite
+    for i in range(spec.steps):
         # recompute x from the index so rounding does not drift the grid
         x = x_start + i * h if i else x_start
         x_half = x + half

@@ -150,7 +150,7 @@ def test_rk4_failing_lane_is_named_in_any_block(monkeypatch, recwarn, block_elem
     message = rf"non-finite RK4 state after step {step} at x={x}$"
     with pytest.raises(NumericalFailure, match=message):
         rk4_integrate(spec, 1.0)
-    assert len(recwarn) == 0  # the run again of a failed block warns of nothing
+    assert len(recwarn) == 0  # the run again from step 0 warns of nothing
 
 
 def _divides_by_zero_past_2_7(x, y):
@@ -176,7 +176,7 @@ def test_rk4_steps_past_a_failure_leave_no_trace(recwarn, rhs):
 
 def test_rk4_lanes_raise_what_the_rhs_raises(monkeypatch):
     # a finite run whose right-hand side raises in step 7, in the last of
-    # three blocks: the run again of the block raises it too
+    # three blocks: the run again from step 0 raises it too
     monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 6)
     calls = []
 
@@ -189,8 +189,25 @@ def test_rk4_lanes_raise_what_the_rhs_raises(monkeypatch):
     spec = IntegrationSpec(0.0, np.array([1.0, 3.0]), 8, rhs)
     with pytest.raises(ValueError, match="past 2.7"):
         rk4_integrate(spec, 1.0)
-    # steps 0 to 6 once, step 6 again, and two calls of step 7 each time
-    assert len(calls) == 7 * 4 + 4 + 2 * 2
+    # steps 0 to 6 and two calls of step 7 in blocks, then all of it again
+    assert len(calls) == 2 * (7 * 4 + 2)
+
+
+def test_rk4_lanes_failing_in_the_first_block_step_no_later_block(monkeypatch):
+    # 3 lanes to blocks of 2 steps out of 8: the state overflows in step 0,
+    # so the blocks stop after the first, and the run from step 0 after
+    # its step 0
+    monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", 6)
+    calls = []
+
+    def rhs(x, y):
+        calls.append(1)
+        return 1e300 * y
+
+    spec = IntegrationSpec(0.0, np.array([1.0, 3.0, 2.0]), 8, rhs)
+    with pytest.raises(NumericalFailure, match=r"after step 0 at x=0\.0$"):
+        rk4_integrate(spec, 1.0)
+    assert len(calls) == 2 * 4 + 4
 
 
 @pytest.mark.parametrize(
