@@ -26,7 +26,7 @@ import sys
 from dataclasses import MISSING, dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import IO, Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,12 +34,6 @@ from . import __version__
 from .errors import DomainError, EcodynError, InvariantViolation, NumericalFailure, finite
 from .grid import Axis, ParamGrid
 from .schema import MODES, integer, is_number, number, read, read_section, string
-
-# Each subcommand imports the models it runs, so a run loads no other
-# model; they are read as module attributes at call time.
-if TYPE_CHECKING:
-    from . import value_feedback as vf
-
 
 # The work bounds of a budget run, which keeps every year's level, and of a
 # value curve's RK4 call, which takes rk4_steps steps on every grid point
@@ -328,7 +322,8 @@ def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
     cs, bound, wages = read_section(sec, "section 'wage'", readers)
     points = wp.profit_curve(cs, wages)  # checks the grid before the report
 
-    _say(f"gross margin: {wp.gross_margin(cs)!r}")
+    margin = wp.gross_margin(cs)
+    _say(f"gross margin: {margin!r}")
     sign_at: float | None = wages[0] if wages else None
     if bound is not None:
         best = wp.optimal_wage(cs, bound)
@@ -342,7 +337,7 @@ def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
             _say(f"optimal wage: {best.wage!r}, net profit {profit!r}")
             sign_at = best.wage
     if sign_at is not None:
-        d1, d2 = wp.profit_derivatives(cs, sign_at)
+        d1, d2 = wp._derivatives(margin, sign_at)
 
         def describe(d: float) -> str:
             return "negative" if d < 0 else "zero" if d == 0 else "positive"
@@ -353,7 +348,7 @@ def _wage(sec: dict[str, Any], args: argparse.Namespace) -> _Table | None:
         )
 
     if "grid" in sec:
-        derivatives = [wp.profit_derivatives(cs, point.wage) for point in points]
+        derivatives = [wp._derivatives(margin, point.wage) for point in points]
         columns = {
             "wage": [point.wage for point in points],
             "net_profit": [finite("net_profit", lambda: point.net_profit) for point in points],

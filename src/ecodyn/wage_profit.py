@@ -137,7 +137,11 @@ def profit_derivatives(cs: CostStructure, wage: float) -> tuple[float, float]:
     that under- or overflows included) is a NumericalFailure naming it.
     """
     _check_wage(wage)
-    margin = gross_margin(cs)
+    return _derivatives(gross_margin(cs), wage)
+
+
+def _derivatives(margin: float, wage: float) -> tuple[float, float]:
+    """profit_derivatives from the margin, for a wage already checked."""
     first = finite("first_derivative", lambda: -margin / wage**2)
     return first, finite("second_derivative", lambda: 2 * margin / wage**3)
 
@@ -157,11 +161,14 @@ def optimal_wage(cs: CostStructure, bound: WageBound) -> ProfitPoint | Unbounded
 
 
 def profit_curve(cs: CostStructure, wages: list[float]) -> list[ProfitPoint]:
-    """Pointwise net profit over a strictly increasing wage grid."""
+    """Pointwise net profit over a strictly increasing wage grid, from one margin."""
     for w in wages:
         if w <= 0:
             raise DomainError(f"wage grid must be positive, got {w}")
     for a, b in zip(wages, wages[1:]):
         if not a < b:
             raise InvariantViolation("wage grid must be strictly increasing")
-    return [ProfitPoint(w, net_profit(cs, w)) for w in wages]
+    if not wages:
+        return []
+    margin = gross_margin(cs)
+    return [ProfitPoint(w, _profit_ratio(margin, w, cs.labor_weight)) for w in wages]

@@ -222,6 +222,26 @@ def test_wage_zero_floor_reports_unbounded(tmp_path, capsys):
     assert "unbounded" in err
 
 
+def test_a_wage_run_evaluates_its_margin_as_often_for_any_grid(tmp_path, capsys, monkeypatch):
+    # near break-even each margin takes the exact route, so a per-point
+    # margin would cost the run its grid's length in Fraction sums
+    from ecodyn import wage_profit as wp
+
+    calls = []
+    margin = wp.gross_margin
+    monkeypatch.setattr(wp, "gross_margin", lambda cs: calls.append(1) or margin(cs))
+    counts = []
+    for points in (5, 50):
+        path = tmp_path / f"wage{points}.json"
+        grid = {"min": 1.0, "max": 3.0, "points": points}
+        path.write_text(json.dumps({"wage": {**WAGE, "floor": 2.0, "grid": grid}}))
+        calls.clear()
+        rc, out, _ = run(["wage", "--config", str(path)], capsys)
+        assert rc == 0 and len(out.splitlines()) == points + 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_budget_divergent_fixed_point(tmp_path, capsys):
     cfg = {
         "budget": {
@@ -465,6 +485,19 @@ BAD_CONFIGS = {
         },
         2,
         "non-finite RK4",
+    ),
+    # 300 lanes take blocks of 13 steps, so the failure shows at the end of
+    # the 30th block, and the run from step 0 names its step
+    "value-rk4-overflow-in-a-late-block": (
+        {
+            "value": {
+                "exponent": -5000,
+                "grid": {"min": 1.0, "max": 3.0, "points": 300},
+                "rk4_steps": 2000,
+            }
+        },
+        2,
+        "error: non-finite RK4 state after step 384 at x=1.384",
     ),
     "budget-int-beyond-float-range": (
         {"budget": {**BUDGET, "gov_spending": 10**400}},
