@@ -300,8 +300,12 @@ def _unit_pole_level(initial_wages, n, constant_flow):
 def coefficients(params: BudgetParams) -> RecurrenceCoefficients:
     """Collect the wage-linear gains and the constant flow term.
 
-    By construction annual_change(params) equals
-    (balance_gain + invest_gain) * initial_wages + constant_flow.
+    In exact arithmetic annual_change(params) equals
+    (balance_gain + invest_gain) * initial_wages + constant_flow. In floats
+    the two group their terms differently, so they can differ in the last
+    bits, as they do on about half of uniform draws: for the README's
+    budget annual_change is 229.0, while this sum, which iterate's first
+    direct-mode step computes, is 228.99999999999994.
     """
     return _coefficients(
         params.tax_rate,
