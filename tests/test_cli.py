@@ -486,7 +486,7 @@ BAD_CONFIGS = {
         2,
         "non-finite RK4",
     ),
-    # 300 lanes take blocks of 13 steps, so the failure shows at the end of
+    # 299 lanes take blocks of 13 steps, so the failure shows at the end of
     # the 30th block, and the run from step 0 names its step
     "value-rk4-overflow-in-a-late-block": (
         {
