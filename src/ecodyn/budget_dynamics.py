@@ -95,7 +95,7 @@ class RecurrenceCoefficients(NamedTuple):
         """Recurrence multiplier; incremental mode shifts it by one."""
         _check_mode(mode)
         if mode == "incremental":
-            return 1.0 + self.pole
+            return 1 + self.pole
         return self.pole
 
 
@@ -120,7 +120,9 @@ class DeficiencyFactors:
     tax_collection: share of owed tax never collected.
     work_effort: share of potential wages lost to underemployment.
     spending_efficiency: share of planned outlays that evaporates.
-    currency_value: erosion applied to the resulting flow balance.
+    currency_value: erosion of the flow balance. It changes no output
+        row: its one effect is the eroded year-0 balance quoted in
+        ``ecodyn budget``'s report (ROADMAP item 15).
 
     A factor of exactly 1 is a total loss: the corresponding adjusted
     quantity is zero.
@@ -135,8 +137,8 @@ class DeficiencyFactors:
 
 
 class DeficiencyAdjusted(NamedTuple):
-    """Loss-adjusted levels, plus the residual scale factor that still
-    has to hit the flow balance itself.
+    """Loss-adjusted levels, plus the currency-erosion factor of the flow
+    balance, which only the report's year-0 balance uses.
 
     Kept as bare numbers rather than a parameter set: a total work
     deficiency zeroes the wage pool, which no valid parameter set can
@@ -205,9 +207,9 @@ def apply_deficiencies(
     """Scale the levels a lossy economy actually realizes.
 
     Collection losses scale the tax rate, effort losses the wage pool,
-    spending losses the outlay level. Currency erosion cannot be folded
-    into any single parameter, so it is kept as a scale factor to apply
-    to the flow balance afterwards.
+    spending losses the outlay level. Currency erosion is only kept as
+    the factor balance_scale: nothing in the recurrence applies it, and
+    its one use is the year-0 balance in ``ecodyn budget``'s report.
     """
     return DeficiencyAdjusted(
         tax_rate=params.tax_rate * (1.0 - factors.tax_collection),
@@ -248,16 +250,16 @@ def annual_change(params: BudgetParams) -> float:
     return flow_balance(params) + investments(params)
 
 
-# The recurrence arithmetic, written once. The helpers take floats or
-# numpy arrays, so the sweep engine evaluates whole grids with exactly
-# these term groupings and its cells equal the scalar calls bit for bit.
+# The recurrence arithmetic, written once. The helpers take floats, numpy
+# arrays or Fractions (they hold no float literal, so Fractions stay exact),
+# and the sweep's cells equal the scalar calls bit for bit.
 
 
 def _coefficients(
     tax_rate, spending_split, private_fraction, invest_share, foreign_multiplier, gov_spending
 ) -> RecurrenceCoefficients:
-    balance_gain = tax_rate - (1.0 - spending_split) * (1.0 - tax_rate) * (1.0 - private_fraction)
-    invest_gain = invest_share * (1.0 - tax_rate) * (1.0 + foreign_multiplier)
+    balance_gain = tax_rate - (1 - spending_split) * (1 - tax_rate) * (1 - private_fraction)
+    invest_gain = invest_share * (1 - tax_rate) * (1 + foreign_multiplier)
     return RecurrenceCoefficients(balance_gain, invest_gain, -gov_spending * spending_split)
 
 
@@ -266,9 +268,7 @@ def _is_stable(pole):
 
 
 def _leverage(spending_split, private_fraction, invest_share, foreign_multiplier):
-    return (1.0 - spending_split) * (1.0 - private_fraction) - invest_share * (
-        1.0 + foreign_multiplier
-    )
+    return (1 - spending_split) * (1 - private_fraction) - invest_share * (1 + foreign_multiplier)
 
 
 def _stable_interval(leverage, mode):
@@ -288,7 +288,7 @@ def _stable_interval(leverage, mode):
 
 def _geometric_level(power, pole, initial_wages, constant_flow):
     """pole**n * (W_0 - b) + b with b the fixed point, given power = pole**n."""
-    base = constant_flow / (1.0 - pole)
+    base = constant_flow / (1 - pole)
     return power * (initial_wages - base) + base
 
 

@@ -66,9 +66,9 @@ def rk4_integrate(spec: IntegrationSpec, y_start: float | np.ndarray) -> float |
     array, and they broadcast: every element is one lane, and a call with no
     array is a single lane, which computes in Python floats throughout.
     All lanes share x_start and the step count and advance in lockstep,
-    lane j with its own step (x_end[j] - x_start) / steps. Each lane goes
-    through the same float operations, in the same order, as a scalar call
-    for that lane alone, so the two agree bit for bit. With arrays, the
+    lane j with its own step (x_end[j] - x_start) / steps. Each lane takes
+    its steps through the same code as a scalar call for that lane alone,
+    so the two agree bit for bit. With arrays, the
     right-hand side receives arrays (x is x_start itself in the first
     step, a row of abscissae after it) and must compute element-wise; it
     may return its input, so no array it is given is written in place.
@@ -123,9 +123,8 @@ def _rk4_lanes(spec: IntegrationSpec, h: np.ndarray, y: np.ndarray) -> np.ndarra
 def _rk4_run(
     spec: IntegrationSpec, h: float | np.ndarray, y: float | np.ndarray
 ) -> float | np.ndarray:
-    """Every step from state y by the plain formula, each new state tested
-    alone: the scalar route, and the reference that the lane route's
-    _rk4_step equals bit for bit."""
+    """Every step from state y by _rk4_step, each new state tested alone:
+    the scalar route, and the lane route's rerun from step 0."""
     f, x_start = spec.rhs, spec.x_start
     half, sixth = h / 2, h / 6
     # math.isfinite costs a fraction of np.isfinite on a float
@@ -133,12 +132,7 @@ def _rk4_run(
     for i in range(spec.steps):
         # recompute x from the index so rounding does not drift the grid
         x = x_start + i * h if i else x_start
-        x_half = x + half
-        k1 = f(x, y)
-        k2 = f(x_half, y + h * k1 / 2)
-        k3 = f(x_half, y + h * k2 / 2)
-        k4 = f(x + h, y + h * k3)
-        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = _rk4_step(f, h, sixth, x, x + half, x + h, y)
         if not all_finite(y):
             raise NumericalFailure(
                 f"non-finite RK4 state after step {i} at x={_failing_x(x, y)}"
@@ -147,14 +141,15 @@ def _rk4_run(
 
 
 def _rk4_step(f: Rhs, h: Any, sixth: Any, x: Any, x_half: Any, x_full: Any, y: Any) -> Any:
-    """One step of _rk4_run's formula on lanes, x_half and x_full being
-    x + h/2 and x + h, with the same bits at less cost per numpy call:
-    * 0.5 is / 2, k + k is 2 * k, and an operand pair is swapped only
-    where the operation commutes. The in-place operators, which skip an
-    array's allocation, write only into arrays made here, never into one
-    the right-hand side is given or returns. An element-wise right-hand
-    side gives every k the shape of its stage, so each in-place result
-    keeps its shape.
+    """One RK4 step from state y at x, with x_half = x + h/2, x_full =
+    x + h and sixth = h/6: k1 = f(x, y), k2 = f(x_half, y + h*k1/2),
+    k3 = f(x_half, y + h*k2/2), k4 = f(x_full, y + h*k3), and the new
+    state y + sixth*(k1 + 2*k2 + 2*k3 + k4). Both routes step here, so a
+    lane equals a scalar call for it bit for bit. On floats the in-place
+    operators rebind; on arrays they skip an allocation and write only
+    into arrays made here, never into one the right-hand side is given
+    or returns (an element-wise right-hand side gives each k the shape
+    of its stage, so each in-place result keeps its shape).
     """
     k1 = f(x, y)
     stage = h * k1

@@ -237,10 +237,7 @@ BINDINGS: dict[str, ModelBinding] = {
 }
 
 # what stability_region() runs: the budget model without a horizon
-REGION = ModelBinding(
-    model="budget",
-    allowed_axes=BUDGET_PARAMS,
-    required=BUDGET_PARAMS,
+REGION = BINDINGS["budget"]._replace(
     optional={"mode": bd.read_mode},
     outputs=("pole", "stable"),
     evaluate_columns=partial(_budget_columns, final_pool=False),

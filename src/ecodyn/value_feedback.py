@@ -89,19 +89,19 @@ def _check_true_value(x: float) -> None:
         raise DomainError(_TRUE_VALUE_NOTE.format(x))
 
 
-# The closed-form arithmetic, written once. The helpers take floats or
-# numpy arrays, so the sweep engine and the lockstep RK4 route evaluate
-# whole grids with exactly these term groupings, and their values equal
-# the scalar calls bit for bit.
+# The closed-form arithmetic, written once. The helpers take floats, numpy
+# arrays or Fractions (they hold no float literal, so Fractions stay
+# exact), and the sweep engine's and the lockstep RK4 route's values
+# equal the scalar calls bit for bit.
 
 
 def _default_coeff(exponent):
-    return 1.0 / (exponent - 1.0)
+    return 1 / (exponent - 1)
 
 
 def _power_law(homog_coeff, exponent, power, x):
     """homog_coeff * x**exponent + exponent/(exponent-1) * x, given power = x**exponent."""
-    return homog_coeff * power + (exponent / (exponent - 1.0)) * x
+    return homog_coeff * power + (exponent / (exponent - 1)) * x
 
 
 def _ode_slope(exponent, x, y):

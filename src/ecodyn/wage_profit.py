@@ -86,8 +86,10 @@ def gross_margin(cs: CostStructure) -> float:
     which downstream monotonicity arguments rely on excluding.
 
     The float margin is kept wherever its error bound vouches for its
-    sign. Near break-even, where rounding could flip the sign, the margin
-    is the correctly rounded value of the exact one, from Fraction.
+    sign. Near break-even, where rounding could flip the sign, and at a
+    subnormal price, where the bound's relative term underflows, the
+    margin is the correctly rounded exact one, from Fraction, or 2**-1074
+    where that rounds a positive margin to 0.0.
     """
     cost = sum(w * z for w, z in cs.other_factors)
     margin = cs.max_market_price - cost
@@ -96,11 +98,13 @@ def gross_margin(cs: CostStructure) -> float:
     # underflows (Higham ch. 3); the band is twice that
     k = len(cs.other_factors)
     band = (k + 1) * 2.0**-52 * (cs.max_market_price + cost) + k * 2.0**-1074
-    if abs(margin) < band:
+    if abs(margin) < band or cs.max_market_price < 2.0**-1022:
         from fractions import Fraction  # here, not at the top: only a margin in the band needs it
 
-        exact = sum(Fraction(w) * Fraction(z) for w, z in cs.other_factors)
-        margin = float(Fraction(cs.max_market_price) - exact)
+        exact = Fraction(cs.max_market_price) - sum(
+            Fraction(w) * Fraction(z) for w, z in cs.other_factors
+        )
+        margin = float(exact) if exact <= 0 else max(float(exact), 2.0**-1074)
     if margin <= 0:
         raise NonpositiveMargin(
             f"non-labor cost absorbs the whole selling price (margin {margin!r})"

@@ -9,3 +9,8 @@ def correctly_rounded(value: float, exact: Fraction) -> bool:
     error = abs(Fraction(value) - exact)
     neighbours = (math.nextafter(value, -math.inf), math.nextafter(value, math.inf))
     return all(abs(Fraction(n) - exact) >= error for n in neighbours)
+
+
+def ulps(value: float, exact: Fraction) -> float:
+    """Distance of value from exact, in units of value's ulp."""
+    return float(abs(Fraction(value) - exact) / Fraction(math.ulp(value)))

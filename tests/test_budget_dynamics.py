@@ -1,12 +1,15 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact import ulps
 from hypothesis import example, given, settings, strategies as st
 
 from ecodyn.budget_dynamics import (
     BudgetParams,
+    _coefficients,
     _leverage,
     _stable_interval,
     DeficiencyFactors,
@@ -333,6 +336,39 @@ def test_closed_form_matches_iteration_next_to_pole_1(n):
     params = BudgetParams(0.9999999999999999, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0)
     # closed_form gives 0.0 and -1.0 where iterate gives 1.0 and -1.1e-16
     assert closed_form(params, n) == pytest.approx(iterate(params, n)[-1], rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("spending_split", [0.5, 0.75])
+def test_closed_form_is_within_8_ulps_away_from_pole_1(spending_split):
+    # the clean tax -0.0 cells of tests/data/sweep_budget.json at poles 0.97
+    # and 1.045; at 1.045, W0 * pole**20 and the flow's geometric sum nearly
+    # cancel (2412 against -2353), which a form adding them apart pays for
+    params = BudgetParams(-0.0, spending_split, 0.7, 0.1, 0.2, 100.0, 1000.0)
+    c = coefficients(params)
+    pole, level = Fraction(c.pole_in_mode("incremental")), Fraction(params.initial_wages)
+    for _ in range(20):
+        level = pole * level + Fraction(c.constant_flow)
+    assert ulps(closed_form(params, 20, "incremental"), level) <= 8
+
+
+def test_coefficients_give_the_exact_pole_on_fractions():
+    # ROADMAP item 2's reproduction: the float pole rounds to 1.0, while the
+    # exact pole of the same float inputs lies 3.29e-18 above 1
+    inputs = (
+        0.005141243201490532,
+        0.9478653606090632,
+        0.3948234964231735,
+        0.014485927088043703,
+        0.8212742919913083,
+        100.0,
+    )
+    assert _coefficients(*inputs).pole_in_mode("incremental") == 1.0
+    exact = tuple(map(Fraction, inputs))
+    pole = _coefficients(*exact).pole_in_mode("incremental")
+    assert type(pole) is Fraction and pole - 1 > 0
+    # the regrouping behind taxation_range holds exactly on Fractions
+    leverage = _leverage(*exact[1:5])
+    assert pole - 1 == exact[0] * (1 + leverage) - leverage
 
 
 @settings(max_examples=60)

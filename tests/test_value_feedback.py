@@ -11,6 +11,8 @@ from ecodyn.value_feedback import (
     BalancedFeedback,
     FeedbackGains,
     MarketValueSolution,
+    _default_coeff,
+    _power_law,
     analytic_market_value,
     closed_form_slope,
     exponent_from_gains,
@@ -72,6 +74,15 @@ def test_solution_rejects_non_finite_fields(fields):
 def test_default_coefficient():
     sol = MarketValueSolution.with_default_coeff(-2.0)
     assert sol.homog_coeff == 1.0 / (-3.0)
+
+
+def test_closed_form_helpers_are_exact_on_fractions():
+    # the expressions the scalar and column routes run give exact values
+    b, x = Fraction(-2), Fraction(3, 2)
+    coeff = _default_coeff(b)
+    assert coeff == Fraction(-1, 3)
+    value = _power_law(coeff, b, x**b, x)
+    assert type(value) is Fraction and value == Fraction(23, 27)
 
 
 def test_known_point():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from exact import correctly_rounded
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ecodyn.errors import DomainError, InvariantViolation, NonpositiveMargin, NumericalFailure
 from ecodyn.oracles import DiffSpec, central_diff_first, central_diff_second
@@ -59,15 +59,20 @@ def test_nonpositive_margin():
     st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 100.0)), min_size=1, max_size=3),
     st.integers(-4, 4),
 )
+# subnormal costs: an exact margin that rounds to 0.0, a float margin a
+# whole subnormal ulp off, and a price stepped down to 0.0
+@example(0.25, [(1.0, 5e-324)], 0)
+@example(0.5, [(0.5, 2.2250738585e-313)] * 2, 2)
+@example(0.25, [(1.0, 5e-324)], -1)
 def test_margin_near_break_even_has_the_exact_sign(labor, factors, ulps):
     total = sum(w for w, _ in factors)
     factors = tuple((w * (1.0 - labor) / total, z) for w, z in factors)
     # prices within 4 ulps of the float cost, where the float margin can
     # carry the wrong sign
     price = sum(w * z for w, z in factors)
-    assume(price > 0.0)
     for _ in range(abs(ulps)):
         price = math.nextafter(price, math.copysign(math.inf, ulps))
+    assume(price > 0.0)
     cs = CostStructure(price, labor, factors)
     exact = Fraction(price) - sum(Fraction(w) * Fraction(z) for w, z in factors)
     if exact <= 0:
@@ -76,7 +81,10 @@ def test_margin_near_break_even_has_the_exact_sign(labor, factors, ulps):
     else:
         margin = gross_margin(cs)
         assert margin > 0.0
-        assert correctly_rounded(margin, exact)
+        if float(exact) == 0.0:  # the least subnormal keeps the sign
+            assert margin == 2.0**-1074
+        else:
+            assert correctly_rounded(margin, exact)
 
 
 def test_weights_must_sum_to_one():
