@@ -29,8 +29,8 @@ _HOMES: dict[str, tuple[str, str]] = {
         "LimitProbeResult exponent_from_gains ode_rhs analytic_market_value "
         "closed_form_slope singular_market_value market_gap gap_from_gains limit_probe",
         "budget_dynamics": "BudgetParams RecurrenceCoefficients StabilityReport "
-        "DegenerateRange DivergentFixedPoint DeficiencyFactors DeficiencyAdjusted "
-        "apply_deficiencies flow_balance investments annual_change coefficients iterate "
+        "DegenerateRange DivergentFixedPoint DeficiencyFactors apply_deficiencies "
+        "flow_balance investments annual_change coefficients iterate "
         "fixed_point closed_form impulse_response tax_leverage taxation_range "
         "shrink_condition stability_report",
         "oracles": "IntegrationSpec DiffSpec rk4_integrate central_diff_first "

@@ -120,9 +120,6 @@ class DeficiencyFactors:
     tax_collection: share of owed tax never collected.
     work_effort: share of potential wages lost to underemployment.
     spending_efficiency: share of planned outlays that evaporates.
-    currency_value: erosion of the flow balance. It changes no output
-        row: its one effect is the eroded year-0 balance quoted in
-        ``ecodyn budget``'s report (ROADMAP item 15).
 
     A factor of exactly 1 is a total loss: the corresponding adjusted
     quantity is zero.
@@ -131,41 +128,8 @@ class DeficiencyFactors:
     tax_collection: float = bounded(UNIT, 0.0)
     work_effort: float = bounded(UNIT, 0.0)
     spending_efficiency: float = bounded(UNIT, 0.0)
-    currency_value: float = bounded(UNIT, 0.0)
 
     __post_init__ = check_fields
-
-
-class DeficiencyAdjusted(NamedTuple):
-    """Loss-adjusted levels, plus the currency-erosion factor of the flow
-    balance, which only the report's year-0 balance uses.
-
-    Kept as bare numbers rather than a parameter set: a total work
-    deficiency zeroes the wage pool, which no valid parameter set can
-    carry. Use :meth:`as_params` to fold the levels back into one.
-    """
-
-    tax_rate: float
-    initial_wages: float
-    gov_spending: float
-    balance_scale: float
-
-    def scale_balance(self, balance: float) -> float:
-        """Apply the currency-erosion factor to a computed flow balance."""
-        return balance * self.balance_scale
-
-    def as_params(self, base: BudgetParams) -> BudgetParams:
-        """Rebuild a parameter set around the adjusted levels.
-
-        Re-validates on construction, so a wage pool eroded to zero is
-        rejected rather than silently producing a degenerate recurrence.
-        """
-        return replace(
-            base,
-            tax_rate=self.tax_rate,
-            initial_wages=self.initial_wages,
-            gov_spending=self.gov_spending,
-        )
 
 
 class StabilityReport(NamedTuple):
@@ -201,21 +165,19 @@ class StabilityReport(NamedTuple):
         return lo <= self.tax_rate <= hi
 
 
-def apply_deficiencies(
-    params: BudgetParams, factors: DeficiencyFactors
-) -> DeficiencyAdjusted:
-    """Scale the levels a lossy economy actually realizes.
+def apply_deficiencies(params: BudgetParams, factors: DeficiencyFactors) -> BudgetParams:
+    """The parameters a lossy economy actually realizes.
 
     Collection losses scale the tax rate, effort losses the wage pool,
-    spending losses the outlay level. Currency erosion is only kept as
-    the factor balance_scale: nothing in the recurrence applies it, and
-    its one use is the year-0 balance in ``ecodyn budget``'s report.
+    spending losses the outlay level. The result is validated on
+    construction, so a total work loss, which zeroes the wage pool,
+    raises InvariantViolation.
     """
-    return DeficiencyAdjusted(
+    return replace(
+        params,
         tax_rate=params.tax_rate * (1.0 - factors.tax_collection),
         initial_wages=params.initial_wages * (1.0 - factors.work_effort),
         gov_spending=params.gov_spending * (1.0 - factors.spending_efficiency),
-        balance_scale=1.0 - factors.currency_value,
     )
 
 

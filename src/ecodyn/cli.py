@@ -258,7 +258,10 @@ def _write_json(table: _Table, stream: IO[str]) -> None:
     worked out once: per row, each column's key text and cell, then the
     closing brace.
     """
-    head = json.dumps({"metadata": table.metadata, "rows": []}, indent=2)
+    try:
+        head = json.dumps({"metadata": table.metadata, "rows": []}, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"cannot write the metadata as JSON: {exc}") from exc
     if not len(next(iter(table.columns.values()), ())):
         stream.write(head + "\n")
         return
@@ -472,17 +475,10 @@ def _budget(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     }
     params, horizon, config_mode, deficiencies = read_section(sec, "section 'budget'", readers)
     mode = args.mode or config_mode
-    balance_note = ""
     if deficiencies is not None:
         readers = {bd.DeficiencyFactors: partial(read, bd.DeficiencyFactors)}
         [factors] = read_section(_section(sec, "deficiencies"), "section 'deficiencies'", readers)
-        adjusted = bd.apply_deficiencies(params, factors)
-        params = adjusted.as_params(params)
-        eroded = adjusted.scale_balance(bd.flow_balance(params))
-        balance_note = (
-            f" (currency erosion scales the year-0 flow balance to {eroded!r};"
-            " the trajectory below uses the adjusted parameters without erosion)"
-        )
+        params = bd.apply_deficiencies(params, factors)
 
     report = bd.stability_report(params, mode)
     coeffs = report.coefficients
@@ -503,7 +499,6 @@ def _budget(sec: dict[str, Any], args: argparse.Namespace) -> _Table:
     _say(
         f"year 0: flow balance {bd.flow_balance(params)!r}, investments "
         f"{bd.investments(params)!r}, annual change {bd.annual_change(params)!r}"
-        + balance_note
     )
     _say(f"tax leverage: {report.leverage!r}")
     if isinstance(report.stable_tax_range, bd.DegenerateRange):
@@ -720,7 +715,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "private_fraction, invest_share, foreign_multiplier, "
             "gov_spending, initial_wages; optional horizon (default 10), "
             "mode, deficiencies {tax_collection, work_effort, "
-            "spending_efficiency, currency_value}."
+            "spending_efficiency}."
         ),
     )
     add_io(p_budget, _budget)

@@ -470,6 +470,21 @@ BAD_CONFIGS = {
         2,
         "iterated is not finite: inf",
     ),
+    # the pole passes the float range while the one trajectory row stays
+    # finite, so only the metadata holds the inf
+    "budget-json-infinite-pole": (
+        {
+            "budget": {
+                **BUDGET,
+                "invest_share": 1e300,
+                "foreign_multiplier": 1e10,
+                "horizon": 0,
+            },
+            "output": {"format": "json"},
+        },
+        2,
+        "cannot write the metadata as JSON",
+    ),
     "value-power-overflow": (
         {"value": {"exponent": 400, "grid": {"min": 1, "max": 10, "points": 5}}},
         2,
@@ -827,7 +842,13 @@ BAD_CONFIGS = {
         {"budget": {**BUDGET, "deficiencies": {"tax_colection": 0.5}}},
         1,
         "section 'deficiencies' does not read ['tax_colection']; it reads ['tax_collection', "
-        "'work_effort', 'spending_efficiency', 'currency_value']",
+        "'work_effort', 'spending_efficiency']",
+    ),
+    "budget-deficiencies-currency-value": (
+        {"budget": {**BUDGET, "deficiencies": {"currency_value": 0.1}}},
+        1,
+        "section 'deficiencies' does not read ['currency_value']; it reads ['tax_collection', "
+        "'work_effort', 'spending_efficiency']",
     ),
     # the output object is read before the subcommand's section is checked
     "output-format-and-section-unread-key": (
@@ -1054,9 +1075,11 @@ def test_writers_match_the_reference_route(monkeypatch):
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     metadata = {"command": "test", "exponent": None, "pole": math.inf, "rows": 4}
     assert _written(cli._write_csv, columns, metadata) == _reference_csv(list(columns), rows)
-    # JSON cells must be finite (see test_json_writer_rejects_non_finite_cells)
+    # JSON cells and metadata must be finite (see the two
+    # test_json_writer_rejects_non_finite_* tests)
     columns["x"][2:] = [1e300, -1e-300]
     columns["gap"][2] = -1e300
+    metadata["pole"] = 1e300
     rows = [dict(zip(columns, values)) for values in zip(*columns.values())]
     assert _written(cli._write_json, columns, metadata) == _reference_json(rows, metadata)
     empty = {"a": [], "b": []}
@@ -1145,6 +1168,18 @@ def test_json_writer_rejects_non_finite_cells(monkeypatch, tmp_path, bad):
     written = io.StringIO()
     cli._write_json(cli._Table(columns, {"rows": 4}, holes, ("x",)), written)
     assert [row.get("x") for row in json.loads(written.getvalue())["rows"]] == [0.5, 1.5, 2.5, None]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_non_finite_metadata(tmp_path, bad):
+    columns, metadata = {"x": [0.5]}, {"pole": bad, "rows": 1}
+    with pytest.raises(NumericalFailure, match="cannot write the metadata as JSON"):
+        _written(cli._write_json, columns, metadata)
+    # --out is removed rather than left empty
+    out = tmp_path / "rows.json"
+    with pytest.raises(NumericalFailure, match="cannot write the metadata as JSON"):
+        cli._emit("json", str(out), cli._Table(columns, metadata))
+    assert not out.exists()
 
 
 def _fill_then_fail(table, stream):
