@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import gc
 import io
 import json
 import math
@@ -811,6 +812,11 @@ def entry() -> None:
         if not isinstance(exc, BrokenPipeError):
             _say(f"error: cannot write to stdout: {exc}")
         code = 1
+    # The process ends here. Shutdown's collections never scan the
+    # permanent generation, so freezing every object skips their pass over
+    # numpy's heap; atexit handlers, the streams' flush and refcount
+    # finalisers still run, unlike after os._exit.
+    gc.freeze()
     raise SystemExit(code)
 
 

@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import io
 import json
 import math
@@ -1250,6 +1251,58 @@ def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(tmp_path, argv, code
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     if not code:
         assert out.read_text() == (goldens.GOLDEN / "budget_direct.csv").read_text()
+
+
+# a run through entry() as the console script makes it, with an atexit
+# handler registered before it that reports whether the heap was frozen
+SHUTDOWN_CHILD = """
+import atexit, gc, sys
+from ecodyn import cli
+atexit.register(lambda: print("atexit: frozen", gc.get_freeze_count() > 0, file=sys.stderr))
+sys.argv = ["ecodyn", "verify", "--list"]
+cli.entry()
+"""
+
+
+def test_a_run_ends_through_atexit_with_its_heap_frozen():
+    proc = subprocess.run([sys.executable, "-c", SHUTDOWN_CHILD], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "atexit: frozen True\n")
+    assert proc.stdout == (goldens.GOLDEN / "verify_list.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, code, closed",
+    [
+        (goldens.ENTRIES["budget_direct.csv"], 0, False),
+        (("verify", "--tolerance", "nope=1"), 1, False),
+        (("wage", "--config", str(DATA / "wage_margin_fail.json")), 2, False),
+        (("verify", "--tolerance", "regrouping_identity=0"), 3, False),
+        (goldens.ENTRIES["budget_direct.csv"], 1, True),
+    ],
+    ids=["0", "1", "2", "3", "closed-stdout"],
+)
+def test_entry_freezes_the_heap_once_after_main_returns(monkeypatch, capsys, argv, code, closed):
+    # gc.freeze is stubbed: the real one would freeze the test process's heap
+    events = []
+    real_main = cli.main
+
+    def main():
+        events.append("main")
+        rc = real_main(list(argv))
+        events.append("returned")
+        return rc
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    if closed:
+        monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+    # the write to a closed stdout ends main with OSError, not a return
+    assert events == (["main", "freeze"] if closed else ["main", "returned", "freeze"])
+    if closed:
+        assert capsys.readouterr().err.endswith(CLOSED_STDOUT_ERROR[0] + "\n")
 
 
 # the ends of the range that float columns encode in bulk, and the
