@@ -45,7 +45,16 @@ MAX_RK4_WORK = 100_000_000  # rk4_steps times those grid points
 
 
 def _say(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    """Write a report or error line to stderr. Without one (``2>&-``),
+    where Python sets sys.stderr to None and print would write to stdout,
+    or on one that fails (``2>/dev/full``), the line is dropped, so stdout
+    and the exit code stay as they are with stderr open."""
+    if sys.stderr is None:
+        return
+    try:
+        print(msg, file=sys.stderr)
+    except OSError:
+        pass
 
 
 def _finite_float(literal: str) -> float:

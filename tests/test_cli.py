@@ -1253,6 +1253,31 @@ def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(tmp_path, argv, code
         assert out.read_text() == (goldens.GOLDEN / "budget_direct.csv").read_text()
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (goldens.ENTRIES["sweep_region.csv"], 0, "sweep_region.csv"),
+        (goldens.ENTRIES["budget_direct.csv"], 0, "budget_direct.csv"),
+        (("verify", "--tolerance", "nope=1"), 1, None),
+    ],
+    ids=["sweep", "budget", "config-error"],
+)
+def test_a_closed_or_full_stderr_changes_neither_stdout_nor_the_exit_code(argv, code, golden, stderr):
+    # as `ecodyn ... 2>&-`, where Python sets sys.stderr to None, and as
+    # `ecodyn ... 2>/dev/full`: the report and error lines are lost, the data is not
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecodyn", *argv],
+            stdout=subprocess.PIPE,
+            stderr=full if stderr == "full" else None,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+        )
+    assert proc.returncode == code
+    assert proc.stdout == ((goldens.GOLDEN / golden).read_bytes() if golden else b"")
+
+
 # a run through entry() as the console script makes it, with an atexit
 # handler registered before it that reports whether the heap was frozen
 SHUTDOWN_CHILD = """
