@@ -139,9 +139,16 @@ def _encode(values: Any, holes: np.ndarray | None, text: _Text, bulk: bool = Tru
     float column is one orjson call, with e written as repr's e+ in a block
     that holds a |v| >= 1e16, and text["f"] redoes its cells outside
     orjson's range; otherwise text["f"] encodes each float cell that is
-    not a hole. A bool column is one gather."""
+    not a hole. A bool column is one gather, and its holes one masked
+    assignment. Other holes are blanked one by one: with a fifth of the
+    cells in holes, as in sweep_json, that costs less than any step over
+    every cell."""
     values = np.asarray(values)
     holes = np.zeros(values.shape, dtype=bool) if holes is None else holes
+    if values.dtype.kind == "b":
+        cells = text["b"][values.view(np.uint8)]
+        cells[holes] = ""
+        return cells.tolist()
     if values.dtype.kind == "f" and not bulk:
         encode = text["f"]
         return ["" if hole else encode(v) for v, hole in zip(values.tolist(), holes.tolist())]
@@ -156,8 +163,6 @@ def _encode(values: Any, holes: np.ndarray | None, text: _Text, bulk: bool = Tru
         redo = np.flatnonzero(~((size >= 1e-4) & (size < math.inf)) & (values != 0) & ~holes)
         for k, v in zip(redo.tolist(), values[redo].tolist()):
             cells[k] = text["f"](v)
-    elif values.dtype.kind == "b":
-        cells = text["b"][values.view(np.uint8)].tolist()
     else:
         cells = list(map(text[values.dtype.kind], values.tolist()))
     for k in np.flatnonzero(holes).tolist():
@@ -201,18 +206,22 @@ def _coordinates(grid: ParamGrid) -> dict[str, _Indexed]:
 
 
 # Rows are encoded and written a block at a time, so a large table never
-# holds all of its encoded text in memory at once.
+# holds all of its encoded text in memory at once. A JSON row is about four
+# times a CSV row's text, so JSON writes a quarter of these rows a block.
 _BLOCK_ROWS = 4096
 
 
-def _row_blocks(table: _Table, text: _Text) -> Iterator[tuple[list[list[str]], np.ndarray]]:
-    """Each block of rows as its cells' text, column by column, with its
-    slice of holes, which blank the columns named in sparse. An indexed
-    column's values are encoded once; a block gathers their text by index."""
+def _row_blocks(
+    table: _Table, text: _Text, block_rows: int
+) -> Iterator[tuple[list[list[str]], np.ndarray]]:
+    """Each block of block_rows rows as its cells' text, column by column,
+    with its slice of holes, which blank the columns named in sparse. An
+    indexed column's values are encoded once; a block gathers their text by
+    index."""
     columns, _, holes, sparse = table
     rows = len(next(iter(columns.values()), ()))
-    # a table of one block encodes each float cell alone: orjson's import
-    # costs more than it saves on so few cells
+    # a table of at most _BLOCK_ROWS rows encodes each float cell alone:
+    # orjson's import costs more than it saves on so few cells
     bulk = rows > _BLOCK_ROWS
     texts = {
         name: np.array(_encode(column.values, None, text, bulk), dtype=object)
@@ -220,8 +229,8 @@ def _row_blocks(table: _Table, text: _Text) -> Iterator[tuple[list[list[str]], n
         if isinstance(column, _Indexed)
     }
     holes = np.zeros(rows, dtype=bool) if holes is None else holes
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
+    for start in range(0, rows, block_rows):
+        stop = start + block_rows
         block_holes = holes[start:stop]
         block = [
             texts[name][column.index[start:stop]].tolist()
@@ -238,7 +247,7 @@ def _write_csv(table: _Table, stream: IO[str]) -> None:
     has at least two columns, so csv's special case of a row made of one
     empty field never arises."""
     stream.write(",".join(map(_csv_quoted, table.columns)) + "\n")
-    for encoded, _ in _row_blocks(table, _CSV_TEXT):
+    for encoded, _ in _row_blocks(table, _CSV_TEXT, _BLOCK_ROWS):
         stream.write("\n".join(map(",".join, zip(*encoded))) + "\n")
 
 
@@ -283,7 +292,7 @@ def _write_json(table: _Table, stream: IO[str]) -> None:
     width = 2 * len(names) + 1
     stream.write(head[: head.rindex("[]")] + "[\n")
     skip = len(",\n")  # the first row follows the opening bracket, not a row
-    for encoded, block_holes in _row_blocks(table, _JSON_TEXT):
+    for encoded, block_holes in _row_blocks(table, _JSON_TEXT, max(1, _BLOCK_ROWS // 4)):
         rows = len(block_holes)
         picks = block_holes.astype(np.intp)
         pieces = ["\n    }"] * (rows * width)
@@ -656,8 +665,20 @@ def _run_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose help and version text fail as any other
+    write to stdout does; argparse drops the OSError, so a full or closed
+    stdout would end --help with exit 0 and nothing written."""
+
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ecodyn",
         description=(
             "Feedback models for wage floors, market value tracking, and "
@@ -808,6 +829,10 @@ class _ClosedStdout(io.TextIOBase):
 def entry() -> None:
     if sys.stdout is None:
         sys.stdout = _ClosedStdout()
+    if sys.stderr is None:
+        # without one (2>&-), argparse prints a usage error's usage line to
+        # stdout; devnull drops it, as _say drops the report lines
+        sys.stderr = open(os.devnull, "w")
     try:
         code = main()
         sys.stdout.flush()

@@ -2,7 +2,9 @@
 
 A sweep takes a base parameter set, replaces one or more named parameters
 with grid values, evaluates the model at every grid cell in row-major
-order (last axis fastest), and collects the outputs into columns.
+order (last axis fastest), and collects the outputs into columns. The
+cells are evaluated a block at a time, so only the kept columns grow with
+the grid.
 Cells where the model rejects the parameter combination, or where an
 output overflows or is not finite, are kept in place but flagged, so
 grids stay rectangular.
@@ -55,10 +57,12 @@ class ModelBinding(NamedTuple):
     reader that checks them (their type, and a budget mode's or horizon's
     value) and passes them when absent; outputs fixes the columns a sweep reports.
 
-    evaluate_columns(params, cells), the one evaluator, gets every axis as
-    a numpy column in params and returns the outputs and its _Notes. An
-    output may be one value or, if every cell is noted, missing; the sweep
-    broadcasts it and puts NaN (False if bool) in noted cells, whatever they held.
+    evaluate_columns(params, cells), the one evaluator, gets a block of
+    cells, each axis as a numpy column of their coordinates in params, and
+    returns the outputs and its _Notes. An output may be one value or, if
+    every cell is noted, missing; the sweep broadcasts it and puts NaN
+    (False if bool) in noted cells, whatever they held. An output is bool
+    in every block or in none.
     """
 
     model: str
@@ -271,19 +275,45 @@ def check_binding(
         )
 
 
+# A sweep evaluates this many cells at a time: the evaluator's columns stay
+# a few hundred KB whatever the grid's size (README, "Work bounds").
+_BLOCK_CELLS = 8192
+
+
 def sweep(binding: ModelBinding, base: dict[str, Any], grid: ParamGrid) -> SweepResult:
     """Evaluate the model over the whole grid into the binding's outputs.
 
-    Per-cell rejections become flagged cells, never exceptions.
+    Per-cell rejections become flagged cells, never exceptions. Each block
+    of _BLOCK_CELLS cells gathers its coordinates from the grid's indices
+    and is one evaluate_columns call; every step is per cell, so a cell's
+    values and note do not depend on its block.
     """
     check_binding(binding, base, grid)
-    with np.errstate(all="ignore"):
-        columns, notes = binding.evaluate_columns({**base, **grid.columns()}, grid.cells)
-    flagged = ~notes.open
-    values = {}
-    for name in binding.outputs:
-        column = np.asarray(columns.get(name, math.nan))
-        values[name] = np.where(flagged, False if column.dtype == bool else math.nan, column)
+    cells = grid.cells
+    points = {a.name: np.array(a.grid()) for a in grid.axes}
+    flagged = np.empty(cells, dtype=bool)
+    values: dict[str, np.ndarray] = {}
+    notes: list[str] = []
+    for start in range(0, cells, _BLOCK_CELLS):
+        block = slice(start, min(start + _BLOCK_CELLS, cells))
+        coordinates = {name: points[name][index[block]] for name, index in grid.indices.items()}
+        with np.errstate(all="ignore"):
+            columns, block_notes = binding.evaluate_columns(
+                {**base, **coordinates}, block.stop - block.start
+            )
+        noted = ~block_notes.open
+        flagged[block] = noted
+        notes += block_notes.texts.tolist()
+        for name in binding.outputs:
+            column = np.asarray(columns.get(name, math.nan))
+            is_bool = column.dtype == bool
+            if name not in values:
+                values[name] = np.empty(cells, dtype=bool if is_bool else float)
+            elif is_bool != (values[name].dtype == bool):
+                raise TypeError(f"output {name!r} is bool in some blocks of {binding.model!r} only")
+            target = values[name][block]
+            target[...] = column
+            target[noted] = False if is_bool else math.nan
     metadata = {
         "model": binding.model,
         "kind": "sweep",
@@ -291,10 +321,10 @@ def sweep(binding: ModelBinding, base: dict[str, Any], grid: ParamGrid) -> Sweep
             {"name": a.name, "min": a.lower, "max": a.upper, "points": a.points}
             for a in grid.axes
         ],
-        "cells": grid.cells,
+        "cells": cells,
         "flagged": int(flagged.sum()),
     }
-    return SweepResult(values, flagged, notes.texts.tolist(), metadata)
+    return SweepResult(values, flagged, notes, metadata)
 
 
 def stability_region(base: dict[str, Any], grid: ParamGrid) -> SweepResult:

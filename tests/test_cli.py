@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import gc
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from functools import cached_property
 from pathlib import Path
 
@@ -1049,9 +1051,11 @@ WRITER_EDGE_COLUMNS = {
     "last": np.array(["n0", 'n"1', "", "n3", "caf\u00e9"], dtype=object),
 }
 WRITER_EDGE_HOLES = [True, False, True, True, False]
-# (_BLOCK_ROWS, columns, sparse)
+# (_BLOCK_ROWS, columns, sparse); JSON writes blocks of a quarter of
+# _BLOCK_ROWS rows, at least one, so 8 gives it the blocks that 2 gives CSV
 WRITER_EDGE_CASES = [
     (2, WRITER_EDGE_COLUMNS, ("first",)),
+    (8, WRITER_EDGE_COLUMNS, ("first",)),
     (2, WRITER_EDGE_COLUMNS, ("mid", "last")),
     (1, WRITER_EDGE_COLUMNS, ("first", "last")),
     (
@@ -1210,8 +1214,13 @@ def test_an_empty_out_flag_is_a_path_that_cannot_be_opened(capsys):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [goldens.ENTRIES["budget_direct.csv"], ("verify",)], ids=["budget", "verify"])
+@pytest.mark.parametrize(
+    "argv",
+    [goldens.ENTRIES["budget_direct.csv"], ("verify",), ("--help",), ("--version",), ("sweep", "--help")],
+    ids=["budget", "verify", "help", "version", "sweep-help"],
+)
 def test_a_full_stdout_exits_1_with_one_error_line(argv):
+    # argparse drops the OSError of its own help and version writes
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
             [sys.executable, "-m", "ecodyn", *argv], stdout=full, stderr=subprocess.PIPE, text=True
@@ -1231,9 +1240,11 @@ CLOSED_STDOUT_ERROR = ["error: cannot write to stdout: [Errno 9] Bad file descri
     [
         (goldens.ENTRIES["budget_direct.csv"], 1, CLOSED_STDOUT_ERROR),
         (("verify",), 1, CLOSED_STDOUT_ERROR),
+        (("--help",), 1, CLOSED_STDOUT_ERROR),
+        (("--version",), 1, CLOSED_STDOUT_ERROR),
         ((*goldens.ENTRIES["budget_direct.csv"], "--out", "{out}"), 0, []),
     ],
-    ids=["budget", "verify", "budget-out"],
+    ids=["budget", "verify", "help", "version", "budget-out"],
 )
 def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(tmp_path, argv, code, errors):
     # as `ecodyn ... >&-`: the child starts with no file descriptor 1, and
@@ -1261,8 +1272,9 @@ def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(tmp_path, argv, code
         (goldens.ENTRIES["sweep_region.csv"], 0, "sweep_region.csv"),
         (goldens.ENTRIES["budget_direct.csv"], 0, "budget_direct.csv"),
         (("verify", "--tolerance", "nope=1"), 1, None),
+        (("verify", "--nope"), 1, None),
     ],
-    ids=["sweep", "budget", "config-error"],
+    ids=["sweep", "budget", "config-error", "usage-error"],
 )
 def test_a_closed_or_full_stderr_changes_neither_stdout_nor_the_exit_code(argv, code, golden, stderr):
     # as `ecodyn ... 2>&-`, where Python sets sys.stderr to None, and as
@@ -1607,6 +1619,63 @@ def test_sweep_writers_format_each_axis_value_once(tmp_path, capsys, monkeypatch
         assert rc == 0 and "; 0 flagged" in err
         # each axis point once, then the pole of each cell
         assert len(formatted) == 40 + 30 + 1200
+
+
+def test_json_writes_a_quarter_of_the_rows_of_a_csv_block(monkeypatch):
+    # a JSON row's text is about four times a CSV row's, so the blocks of
+    # text the two writers hold are about the same size
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
+
+    def writes(writer):
+        stream = io.StringIO()
+        texts = []
+        stream.write = lambda text, write=stream.write: texts.append(text) or write(text)
+        writer(cli._Table({"step": list(range(20)), "level": [0.5] * 20}, {"rows": 20}), stream)
+        return texts
+
+    # after the header line, one write per block of 8 rows
+    assert [text.count("\n") for text in writes(cli._write_csv)[1:]] == [8, 8, 4]
+    # between the head and the closing lines, one write per block of 2 rows
+    assert [text.count('"level"') for text in writes(cli._write_json)[1:-1]] == [2] * 10
+
+
+class _Discard(io.TextIOBase):
+    """A stream that keeps nothing written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_a_sweep_and_its_json_hold_no_transient_copy_of_the_grid(capsys):
+    # the evaluator's columns hold one block of cells and the JSON text one
+    # block of rows, so beyond what they return or keep, neither sweep()
+    # nor the writer holds more memory as the grid grows fourfold
+    transient = {}
+    for points in (300, 600):
+        section = {
+            "model": "budget",
+            "base": {**BUDGET, "mode": "incremental", "horizon": 50},
+            "axes": [
+                {"name": "tax_rate", "min": 0.0, "max": 1.0, "points": points},
+                {"name": "spending_split", "min": 0.0, "max": 1.25, "points": points},
+            ],
+        }
+        grid = ParamGrid(tuple(Axis(*axis.values()) for axis in section["axes"]))
+        table = cli._sweep(section, argparse.Namespace(format="json"))
+        assert 0 < table.metadata["flagged"] < grid.cells
+        tracemalloc.start()
+        try:
+            result = sweep(BINDINGS["budget"], section["base"], grid)
+            kept, swept = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cli._write_json(table, _Discard())
+            _, written = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.metadata == table.metadata
+        transient[points] = (swept - kept, written - kept)
+    for small, large in zip(transient[300], transient[600]):
+        assert large < small + 250_000 and large < 2_000_000
 
 
 def test_a_sweep_and_its_writers_build_the_grid_index_once(tmp_path, capsys, monkeypatch):

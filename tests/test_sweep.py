@@ -3,6 +3,7 @@ import re
 import sys
 import tracemalloc
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -245,6 +246,80 @@ def test_a_region_result_retains_no_coordinates():
         tracemalloc.stop()
     assert len(result.flagged) == 90_000
     assert retained < 3_000_000
+
+
+# sweeps with noted cells on both sides of a boundary of 7-cell blocks:
+# their notes quote the cell's value, and the last one overflows in some cells
+BLOCKED_SWEEPS = {
+    "wage": (
+        partial(sweep, BINDINGS["wage"], {"max_market_price": 10.0, "labor_weight": 1.0}),
+        ParamGrid((Axis("wage", -2.0, 4.0, 31),)),
+    ),
+    "value": (
+        partial(sweep, BINDINGS["value"], {}),
+        ParamGrid((Axis("exponent", -1.0, 3.0, 9), Axis("true_value", -1.0, 2.0, 8))),
+    ),
+    "budget": (
+        partial(sweep, BINDINGS["budget"], {**BUDGET_BASE, "horizon": 25}),
+        ParamGrid((Axis("spending_split", 0.5, 1.5, 11), Axis("tax_rate", 0.0, 1.0, 11))),
+    ),
+    "region": (
+        partial(stability_region, BUDGET_BASE),
+        ParamGrid((Axis("spending_split", 0.5, 1.5, 11), Axis("tax_rate", 0.0, 1.0, 11))),
+    ),
+    "overflow": (
+        partial(sweep, BINDINGS["budget"], {**BUDGET_BASE, "mode": "incremental", "horizon": 1000}),
+        ParamGrid((Axis("invest_share", 0.0, 50.0, 11), Axis("tax_rate", 0.0, 1.0, 3))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", BLOCKED_SWEEPS)
+def test_a_blocked_sweep_equals_a_one_block_sweep_bit_for_bit(monkeypatch, name):
+    run, grid = BLOCKED_SWEEPS[name]
+    blocks = []  # every evaluator call makes one _Notes for its block
+    notes_of = _Notes.__init__
+    monkeypatch.setattr(_Notes, "__init__", lambda notes, cells: notes_of(notes, cells) or blocks.append(cells))
+    monkeypatch.setattr("ecodyn.sweep._BLOCK_CELLS", grid.cells)
+    whole = run(grid)
+    assert blocks == [grid.cells]
+    blocks.clear()
+    monkeypatch.setattr("ecodyn.sweep._BLOCK_CELLS", 7)  # divides no axis
+    blocked = run(grid)
+    assert blocks == [7] * (grid.cells // 7) + [grid.cells % 7]
+    assert blocked.notes == whole.notes and blocked.metadata == whole.metadata
+    assert np.array_equal(blocked.flagged, whole.flagged)
+    assert list(blocked.outputs) == list(whole.outputs)
+    for column, reference in zip(blocked.outputs.values(), whole.outputs.values()):
+        assert column.dtype == reference.dtype and column.tobytes() == reference.tobytes()
+    notes = blocked.notes
+    assert 0 < blocked.metadata["flagged"] < grid.cells
+    # noted cells meet at block boundaries, with two different notes, or
+    # with the overflow note
+    met = [k for k in range(7, grid.cells, 7) if notes[k - 1] and notes[k]]
+    if name == "overflow":
+        assert met and notes[met[0]] == "final_pool overflows the float range"
+    else:
+        assert any(notes[k - 1] != notes[k] for k in met)
+
+
+@pytest.mark.parametrize("bool_first", [True, False], ids=["bool-first", "float-first"])
+def test_an_output_is_bool_in_every_block_or_in_none(monkeypatch, bool_first):
+    # an evaluator that leaves stable out of a block whose every cell it
+    # notes gives a float NaN there; the sweep never writes one kind of
+    # column into the other
+    def evaluate(params, cells):
+        notes = _Notes(cells)
+        split = params["spending_split"]
+        if (split[0] < 1.0) == bool_first:
+            return {"pole": split, "stable": split < 1.0}, notes
+        return {"pole": split}, notes.add(True, "left out")
+
+    binding = REGION._replace(evaluate_columns=evaluate)
+    grid = ParamGrid((Axis("spending_split", 0.0, 1.5, 4),))
+    monkeypatch.setattr("ecodyn.sweep._BLOCK_CELLS", 2)
+    with pytest.raises(TypeError, match="output 'stable' is bool in some blocks of 'budget' only"):
+        sweep(binding, BUDGET_BASE, grid)
 
 
 def test_stability_region_reads_no_horizon():
